@@ -12,7 +12,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"snake/internal/config"
@@ -39,9 +38,9 @@ type line struct {
 }
 
 // Cache is a set-associative cache with per-line class flags. Lines are
-// stored in one contiguous array (set s occupies lines[s*ways:(s+1)*ways])
-// so set scans — the simulator's hottest loop — walk sequential memory with
-// a single bounds check instead of chasing per-set slice headers.
+// stored in one contiguous array (set s occupies lines[s*ways:(s+1)*ways]),
+// so a line's position names its set and way, and the line index and victim
+// index address lines by that one int32.
 type Cache struct {
 	geom     config.CacheGeom
 	lines    []line
@@ -62,13 +61,21 @@ type Cache struct {
 	occ    []uint64
 	occWPS int
 
-	// vkeys/vgroups shadow each line's victim-selection state so Reserve's
-	// full-set LRU scan reads 9 bytes per way instead of the line struct:
-	// vkeys[i] is lines[i].lastUse and vgroups[i] is a one-hot group bit
-	// (class<<1|touched), zero while the line is invalid or reserved and
-	// therefore never an LRU victim.
-	vkeys   []int64
-	vgroups []uint8
+	// The victim index keeps, for every set and victim group (class<<1 |
+	// touched), an intrusive doubly-linked list of the set's valid lines
+	// ordered by (lastUse, way): vhead/vtail[set*4+group] are list ends and
+	// vlink[pos] a line's neighbours, -1 terminated. Reserve's LRU victim is
+	// the oldest of at most four list heads, so a full 256-way set costs O(1)
+	// instead of a scan. Reserved (in-flight) lines are in no list and so are
+	// never victims.
+	vlink []vlink
+	vhead []int32
+	vtail []int32
+
+	// EvictLRUOfClass scratch: a position bitmap that puts candidates back in
+	// line order, and the candidate list itself.
+	candMark []uint64
+	cands    []evictCand
 
 	// Occupancy counters for the decoupling policy.
 	nData     int
@@ -104,11 +111,14 @@ func New(geom config.CacheGeom) *Cache {
 		setMask:  uint64(nsets - 1),
 		occ:      make([]uint64, nsets*wps),
 		occWPS:   wps,
-		vkeys:    make([]int64, nsets*geom.Ways),
-		vgroups:  make([]uint8, nsets*geom.Ways),
+		vlink:    make([]vlink, nsets*geom.Ways),
+		vhead:    make([]int32, nsets*4),
+		vtail:    make([]int32, nsets*4),
+		candMark: make([]uint64, (nsets*geom.Ways+63)/64),
 	}
 	c.idx.init(len(c.lines))
 	c.resetOcc()
+	c.resetVictims()
 	return c
 }
 
@@ -137,6 +147,80 @@ func (c *Cache) occMark(s, w int, occupied bool) {
 	}
 }
 
+// vlink is a line's place in its set's victim list.
+type vlink struct{ prev, next int32 }
+
+// victimGroup is the victim-index list a valid line with this class and
+// touched bit belongs to.
+func victimGroup(class Class, touched bool) int {
+	g := int(class) << 1
+	if touched {
+		g |= 1
+	}
+	return g
+}
+
+// resetVictims empties every victim list.
+func (c *Cache) resetVictims() {
+	for i := range c.vhead {
+		c.vhead[i] = -1
+		c.vtail[i] = -1
+	}
+}
+
+// older reports whether the valid line at a precedes the one at b in LRU
+// order: smaller lastUse first, lower way (position) on ties.
+func (c *Cache) older(a, b int32) bool {
+	ua, ub := c.lines[a].lastUse, c.lines[b].lastUse
+	return ua < ub || ua == ub && a < b
+}
+
+// vinsert links the valid line at pos into its set's list for its current
+// class and touched bit. The search walks back from the tail: lines are
+// normally stamped with the newest cycle and land there at once, while
+// out-of-order stamps (L2 fill completions can arrive that way) still find
+// their exact place.
+func (c *Cache) vinsert(pos int32) {
+	ln := &c.lines[pos]
+	li := int(pos)/c.ways*4 + victimGroup(ln.class, ln.touched)
+	p := c.vtail[li]
+	for p >= 0 && c.older(pos, p) {
+		p = c.vlink[p].prev
+	}
+	var next int32
+	if p < 0 {
+		next = c.vhead[li]
+		c.vhead[li] = pos
+	} else {
+		next = c.vlink[p].next
+		c.vlink[p].next = pos
+	}
+	if next < 0 {
+		c.vtail[li] = pos
+	} else {
+		c.vlink[next].prev = pos
+	}
+	c.vlink[pos] = vlink{prev: p, next: next}
+}
+
+// vremove unlinks the valid line at pos from its list; call it before the
+// line's class, touched bit or lastUse change.
+func (c *Cache) vremove(pos int32) {
+	ln := &c.lines[pos]
+	li := int(pos)/c.ways*4 + victimGroup(ln.class, ln.touched)
+	l := c.vlink[pos]
+	if l.prev < 0 {
+		c.vhead[li] = l.next
+	} else {
+		c.vlink[l.prev].next = l.next
+	}
+	if l.next < 0 {
+		c.vtail[li] = l.prev
+	} else {
+		c.vlink[l.next].prev = l.prev
+	}
+}
+
 // firstFree returns the lowest unoccupied way of set s, or -1 when full.
 func (c *Cache) firstFree(s int) int {
 	base := s * c.occWPS
@@ -146,11 +230,6 @@ func (c *Cache) firstFree(s int) int {
 		}
 	}
 	return -1
-}
-
-// set returns the ways of set s as a slice of the contiguous line array.
-func (c *Cache) set(s int) []line {
-	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
 // LineAddr returns addr truncated to its cache-line base address.
@@ -305,6 +384,7 @@ func (c *Cache) Probe(addr uint64) ProbeResult {
 
 // touchLine applies Touch's demand-hit update to the valid line at pos.
 func (c *Cache) touchLine(pos int32, cycle int64) (transferred bool) {
+	c.vremove(pos)
 	ln := &c.lines[pos]
 	ln.lastUse = cycle
 	ln.touched = true
@@ -314,8 +394,7 @@ func (c *Cache) touchLine(pos int32, cycle int64) (transferred bool) {
 		c.nData++
 		transferred = true
 	}
-	c.vkeys[pos] = cycle
-	c.vgroups[pos] = 1 << (uint8(ln.class)<<1 | 1)
+	c.vinsert(pos)
 	return transferred
 }
 
@@ -378,44 +457,24 @@ func (c *Cache) Reserve(addr uint64, class Class, cycle int64, filter VictimFilt
 		c.install(s, w, tag, class)
 		return EvictInfo{}, true
 	}
-	// Set is full: LRU scan over the filter-permitted valid ways via the
-	// shadow victim arrays. The filter is a pure function of (class,
-	// touched), so its four possible answers collapse to a group bitmask
-	// computed up front; reserved lines carry group 0 and are never matched.
-	// The ascending scan with strict less-than keeps the lowest way index on
-	// lastUse ties, as the line-struct scan did.
-	allowed := uint8(0xF)
-	if filter != nil {
-		allowed = 0
-		for g := uint8(0); g < 4; g++ {
-			if filter(Class(g>>1), g&1 == 1) {
-				allowed |= 1 << g
-			}
+	// Set is full: the LRU victim is the oldest head among the victim lists
+	// the filter admits. The filter is a pure function of (class, touched),
+	// so it is asked at most once per list.
+	victim := int32(-1)
+	for g := 0; g < 4; g++ {
+		h := c.vhead[s*4+g]
+		if h < 0 || filter != nil && !filter(Class(g>>1), g&1 == 1) {
+			continue
 		}
-	}
-	base := s * c.ways
-	vk := c.vkeys[base : base+c.ways]
-	vg := c.vgroups[base : base+c.ways][:len(vk)] // same-length hint for bounds-check elimination
-	victim := -1
-	oldest := int64(math.MaxInt64)
-	for i := range vk {
-		// Branchless eligibility: g|-g has the sign bit set iff g != 0, so m
-		// is all-ones for an allowed way and key falls back to MaxInt64
-		// otherwise. The only branch left (a new minimum) is rarely taken.
-		g := int64(vg[i] & allowed)
-		m := (g | -g) >> 63
-		key := vk[i]&m | math.MaxInt64&^m
-		if key < oldest {
-			victim = i
-			oldest = key
+		if victim < 0 || c.older(h, victim) {
+			victim = h
 		}
 	}
 	if victim < 0 {
 		return EvictInfo{}, false
 	}
-	w := victim
-	ev := c.evictAt(s, w)
-	c.install(s, w, tag, class)
+	ev := c.evictAt(victim)
+	c.install(s, int(victim)-s*c.ways, tag, class)
 	return ev, true
 }
 
@@ -437,12 +496,14 @@ func (c *Cache) install(set, way int, tag uint64, class Class) {
 	ln.touched = false
 	c.nReserved++
 	c.occMark(set, way, true)
-	c.vgroups[pos] = 0 // in flight: not an LRU victim
 	c.idx.put(tag<<c.setBits|uint64(set), int32(pos))
 }
 
-func (c *Cache) evictAt(set, way int) EvictInfo {
-	ln := &c.lines[set*c.ways+way]
+// evictAt drops the valid line at pos.
+func (c *Cache) evictAt(pos int32) EvictInfo {
+	set, way := int(pos)/c.ways, int(pos)%c.ways
+	c.vremove(pos)
+	ln := &c.lines[pos]
 	ev := EvictInfo{Valid: true, Class: ln.class, Touched: ln.touched, LineAddr: c.addrOf(set, ln.tag)}
 	if ln.class == ClassPrefetch {
 		c.nPrefetch--
@@ -452,7 +513,6 @@ func (c *Cache) evictAt(set, way int) EvictInfo {
 	ln.valid = false
 	ln.reserved = false
 	c.occMark(set, way, false)
-	c.vgroups[set*c.ways+way] = 0
 	c.idx.del(ln.tag<<c.setBits | uint64(set))
 	return ev
 }
@@ -478,8 +538,7 @@ func (c *Cache) Fill(addr uint64, cycle int64) bool {
 	} else {
 		c.nData++
 	}
-	c.vkeys[pos] = cycle
-	c.vgroups[pos] = 1 << (uint8(ln.class) << 1) // untouched since fill
+	c.vinsert(pos)
 	return true
 }
 
@@ -487,24 +546,50 @@ func (c *Cache) Fill(addr uint64, cycle int64) bool {
 // class and whether it has been demand-touched.
 type VictimFilter func(class Class, touched bool) bool
 
+// evictCand is one EvictLRUOfClass candidate.
+type evictCand struct {
+	pos     int32
+	lastUse int64
+}
+
 // EvictLRUOfClass evicts up to n valid lines of the given class, choosing
-// globally least-recently-used first. It returns per-line info for accounting
-// (used by the §3.2 "free up 25% of the unified cache" bulk eviction).
-func (c *Cache) EvictLRUOfClass(class Class, n int) []EvictInfo {
-	if n <= 0 {
-		return nil
+// globally least-recently-used first, and appends per-line info for
+// accounting to dst (used by the §3.2 "free up 25% of the unified cache"
+// bulk eviction).
+//
+// Candidates are taken in line order and the n oldest are chosen by a
+// partial selection sort. Its swaps reorder candidates that share a lastUse,
+// so which of several equally old lines go is defined by this procedure,
+// not by (lastUse, position) order.
+func (c *Cache) EvictLRUOfClass(dst []EvictInfo, class Class, n int) []EvictInfo {
+	count := c.nData
+	if class == ClassPrefetch {
+		count = c.nPrefetch
 	}
-	type cand struct {
-		s, w    int
-		lastUse int64
+	if n <= 0 || count == 0 {
+		return dst
 	}
-	var cands []cand
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && !ln.reserved && ln.class == class {
-			cands = append(cands, cand{i / c.ways, i % c.ways, ln.lastUse})
+	// Mark the class's lines from its two victim lists per set, then read
+	// the marks back in position order.
+	for li := 0; li < len(c.vhead); li += 4 {
+		for g := victimGroup(class, false); g <= victimGroup(class, true); g++ {
+			for p := c.vhead[li+g]; p >= 0; p = c.vlink[p].next {
+				c.candMark[p>>6] |= 1 << (uint(p) & 63)
+			}
 		}
 	}
+	cands := c.cands[:0]
+	for wi, w := range c.candMark {
+		if w == 0 {
+			continue
+		}
+		c.candMark[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			p := int32(wi<<6 + bits.TrailingZeros64(w))
+			cands = append(cands, evictCand{p, c.lines[p].lastUse})
+		}
+	}
+	c.cands = cands
 	// Partial selection sort for the n oldest (n is small relative to size).
 	if n > len(cands) {
 		n = len(cands)
@@ -518,11 +603,10 @@ func (c *Cache) EvictLRUOfClass(class Class, n int) []EvictInfo {
 		}
 		cands[i], cands[min] = cands[min], cands[i]
 	}
-	out := make([]EvictInfo, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, c.evictAt(cands[i].s, cands[i].w))
+		dst = append(dst, c.evictAt(cands[i].pos))
 	}
-	return out
+	return dst
 }
 
 // InvalidateAll clears the cache (used between kernels).
@@ -531,9 +615,7 @@ func (c *Cache) InvalidateAll() {
 		c.lines[i] = line{}
 	}
 	c.nData, c.nPrefetch, c.nReserved = 0, 0, 0
-	for i := range c.vgroups {
-		c.vgroups[i] = 0
-	}
 	c.resetOcc()
+	c.resetVictims()
 	c.idx.reset()
 }

@@ -167,7 +167,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		c.Fill(a, int64(i))
 		check("after fill")
 	}
-	c.EvictLRUOfClass(ClassData, 2)
+	c.EvictLRUOfClass(nil, ClassData, 2)
 	check("after bulk evict")
 	c.InvalidateAll()
 	check("after invalidate")
@@ -190,7 +190,7 @@ func TestEvictLRUOfClass(t *testing.T) {
 			cycle++
 		}
 	}
-	evs := c.EvictLRUOfClass(ClassData, 3)
+	evs := c.EvictLRUOfClass(nil, ClassData, 3)
 	if len(evs) != 3 {
 		t.Fatalf("evicted %d lines, want 3", len(evs))
 	}
@@ -199,7 +199,7 @@ func TestEvictLRUOfClass(t *testing.T) {
 		t.Errorf("after bulk evict: data=%d free=%d", data, free)
 	}
 	// Requesting more than available evicts only what exists.
-	if evs := c.EvictLRUOfClass(ClassPrefetch, 100); len(evs) != 0 {
+	if evs := c.EvictLRUOfClass(nil, ClassPrefetch, 100); len(evs) != 0 {
 		t.Errorf("evicted %d prefetch lines from a data-only cache", len(evs))
 	}
 }

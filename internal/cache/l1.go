@@ -82,6 +82,8 @@ type L1 struct {
 	// Running counters for the 80%-transferred eviction heuristic.
 	pfFills       int64
 	pfTransferred int64
+
+	evBuf []EvictInfo // FreeQuarter scratch
 }
 
 // NewL1 builds an L1 controller over the given data geometry (the unified
@@ -407,17 +409,18 @@ func (l *L1) FreeQuarter() {
 	if l.pfFills > 0 && float64(l.pfTransferred)/float64(l.pfFills) > 0.8 {
 		preferred = ClassData
 	}
-	evs := l.cache.EvictLRUOfClass(preferred, n)
+	evs := l.cache.EvictLRUOfClass(l.evBuf[:0], preferred, n)
 	if len(evs) < n {
 		other := ClassData
 		if preferred == ClassData {
 			other = ClassPrefetch
 		}
-		evs = append(evs, l.cache.EvictLRUOfClass(other, n-len(evs))...)
+		evs = l.cache.EvictLRUOfClass(evs, other, n-len(evs))
 	}
 	for _, ev := range evs {
 		l.noteEviction(ev)
 	}
+	l.evBuf = evs
 }
 
 // neverEvict admits only invalid (free) ways.

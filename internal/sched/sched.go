@@ -13,15 +13,17 @@ import "snake/internal/config"
 
 // Scheduler picks the next warp to issue among a scheduler slice's warps.
 type Scheduler interface {
-	// Pick returns the index (into the ready slice) of the warp to issue, or
-	// -1 if none is ready. ready[i] reports warp i is issuable this cycle;
-	// age[i] is a monotonically increasing assignment stamp (smaller =
+	// Pick returns the index (into slots) of the warp to issue at cycle, or
+	// -1 if none is ready. slots lists the slice's warp slots; the warp at
+	// slots[i] is issuable when readyAt[slots[i]] <= cycle, so readiness is
+	// read in place from the SM's per-slot readiness cycles. age[i] is
+	// slots[i]'s monotonically increasing assignment stamp (smaller =
 	// older).
-	Pick(ready []bool, age []int64) int
+	Pick(slots []int, readyAt []int64, cycle int64, age []int64) int
 	// Idle is the fast path for a cycle with no issuable warp: it must leave
-	// the scheduler in exactly the state a Pick over a non-empty all-false
-	// ready slice would (GTO forgets its greedy warp; LRR and Oldest are
-	// untouched). Callers use it to avoid building the ready slice at all.
+	// the scheduler in exactly the state a Pick over a non-empty slots list
+	// with no warp ready would (GTO forgets its greedy warp; LRR and Oldest
+	// are untouched). Callers use it to skip the readiness scan altogether.
 	Idle()
 	// Reset restores the scheduler to its just-constructed state, so a
 	// recycled SM starts a new run with exactly the policy state a fresh New
@@ -50,18 +52,12 @@ type gto struct {
 
 func (g *gto) Name() string { return string(config.SchedGTO) }
 
-func (g *gto) Pick(ready []bool, age []int64) int {
-	if g.last >= 0 && g.last < len(ready) && ready[g.last] {
+func (g *gto) Pick(slots []int, readyAt []int64, cycle int64, age []int64) int {
+	if g.last >= 0 && g.last < len(slots) && readyAt[slots[g.last]] <= cycle {
 		return g.last
 	}
-	pick := -1
-	for i, r := range ready {
-		if r && (pick < 0 || age[i] < age[pick]) {
-			pick = i
-		}
-	}
-	g.last = pick
-	return pick
+	g.last = pickOldest(slots, readyAt, cycle, age)
+	return g.last
 }
 
 // Idle implements Scheduler: with no ready warp, Pick's scan finds nothing
@@ -84,14 +80,14 @@ func (l *lrr) Idle() {}
 // Reset implements Scheduler.
 func (l *lrr) Reset() { l.next = 0 }
 
-func (l *lrr) Pick(ready []bool, _ []int64) int {
-	n := len(ready)
+func (l *lrr) Pick(slots []int, readyAt []int64, cycle int64, _ []int64) int {
+	n := len(slots)
 	if n == 0 {
 		return -1
 	}
 	for off := 0; off < n; off++ {
 		i := (l.next + off) % n
-		if ready[i] {
+		if readyAt[slots[i]] <= cycle {
 			l.next = (i + 1) % n
 			return i
 		}
@@ -110,10 +106,16 @@ func (oldest) Idle() {}
 // Reset implements Scheduler.
 func (oldest) Reset() {}
 
-func (oldest) Pick(ready []bool, age []int64) int {
+func (oldest) Pick(slots []int, readyAt []int64, cycle int64, age []int64) int {
+	return pickOldest(slots, readyAt, cycle, age)
+}
+
+// pickOldest returns the index of the oldest ready warp in slots, or -1;
+// the lowest index wins an age tie.
+func pickOldest(slots []int, readyAt []int64, cycle int64, age []int64) int {
 	pick := -1
-	for i, r := range ready {
-		if r && (pick < 0 || age[i] < age[pick]) {
+	for i, slot := range slots {
+		if readyAt[slot] <= cycle && (pick < 0 || age[i] < age[pick]) {
 			pick = i
 		}
 	}

@@ -183,13 +183,14 @@ type engine struct {
 	units []workUnit
 	// crew is the persistent barrier-worker group, created on the first
 	// parallel run and parked — not respawned — between runs, surviving Reset
-	// and pool recycling. Reclaimed by closeCrew (Engine.Close, or the engine
+	// and pool recycling. Reclaimed by closeCrew (Engine.Close, or reaper's
 	// finalizer as a backstop). group aliases crew only while a run is
 	// executing; the rest of the engine keys "is a parallel run active" off
 	// group, so pointing it at the parked crew per run keeps those paths
 	// unchanged.
-	crew  *shardGroup
-	group *shardGroup
+	crew   *shardGroup
+	group  *shardGroup
+	reaper *crewReaper
 
 	// partReqs are the SM→L2 ingress ports, one ring per L2 partition: fill
 	// requests in flight across the request network, binned to their
@@ -361,21 +362,35 @@ func newMachine(opt Options) *engine {
 	e.smAttr = make([]int, cfg.NumSM)
 	e.smBase = make([]stats.Sim, cfg.NumSM)
 	e.initSlack()
-	// Backstop for the persistent crew: an engine dropped without Close
-	// (tests, one-shot callers, pool discards) must not leak its parked
-	// workers. The crew holds no pointer back to the engine, so the engine
-	// stays collectable; the method expression captures nothing.
-	runtime.SetFinalizer(e, (*engine).closeCrew)
+	e.reaper = &crewReaper{}
+	runtime.SetFinalizer(e.reaper, (*crewReaper).stop)
 	return e
 }
 
+// crewReaper is the backstop for the persistent crew: an engine dropped
+// without Close (tests, one-shot callers, pool discards) must not leak its
+// parked workers. The finalizer sits on this handle, not on the engine: the
+// engine lies on the cycle engine → shard → sm → smEnv → engine, and the
+// runtime never frees a cycle that carries a finalizer. The handle points
+// only at the crew, which points at nothing else, so a dropped engine is
+// collected and the handle's finalizer then stops its workers.
+type crewReaper struct{ crew *shardGroup }
+
+func (r *crewReaper) stop() {
+	if r.crew != nil {
+		r.crew.stop()
+		r.crew = nil
+	}
+}
+
 // closeCrew stops and forgets the persistent barrier crew, if one exists.
-// Idempotent, and safe from the finalizer goroutine.
+// Idempotent.
 func (e *engine) closeCrew() {
 	if e.crew != nil {
 		e.crew.stop()
 		e.crew = nil
 	}
+	e.reaper.crew = nil
 }
 
 // partOf maps a line address to its L2 partition. Interleaving is at DRAM
@@ -437,6 +452,7 @@ func (e *engine) run() error {
 		if e.crew == nil || e.crew.n != e.opt.Parallelism {
 			e.closeCrew()
 			e.crew = startShardGroup(e.opt.Parallelism)
+			e.reaper.crew = e.crew
 		}
 		e.group = e.crew
 		defer func() { e.group = nil }()

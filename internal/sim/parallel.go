@@ -31,8 +31,8 @@ type taskRunner interface {
 // crew references nothing but itself. That is what lets one crew outlive
 // engine Reset/reinit cycles and pool recycling — workers are created once
 // per engine (per Parallelism value), parked between runs, and reclaimed by
-// engine.closeCrew (explicitly via Engine.Close, or by the engine finalizer
-// when a pooled engine is discarded).
+// engine.closeCrew (explicitly via Engine.Close) or by the engine's
+// crewReaper finalizer when a pooled engine is discarded.
 //
 // Determinism does not depend on the group at all: units are data-disjoint
 // during tick spans (see workUnit) and tasks are data-disjoint by the
@@ -118,7 +118,8 @@ func (g *shardGroup) runTasks(t taskRunner, n int) {
 }
 
 // stop terminates the workers and waits for them to exit. Idempotent: close
-// paths (explicit Close, run-error teardown, engine finalizer) may overlap.
+// paths (explicit Close, run-error teardown, crewReaper finalizer) may
+// overlap.
 func (g *shardGroup) stop() {
 	if g.stopped {
 		return

@@ -86,8 +86,7 @@ type sm struct {
 
 	// Per-scheduler warp membership (slot indices and ages), cached across
 	// cycles and rebuilt only when membership changes (dispatch, warp
-	// completion) — see refreshSched. readyBuf is per-cycle scratch.
-	readyBuf   [][]bool
+	// completion) — see refreshSched.
 	ageBuf     [][]int64
 	slotBuf    [][]int
 	schedDirty bool
@@ -165,13 +164,11 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 	s.l1 = cache.NewL1(geom, l1opt, st)
 	nSched := cfg.SchedulersPerSM
 	s.scheds = make([]sched.Scheduler, nSched)
-	s.readyBuf = make([][]bool, nSched)
 	s.ageBuf = make([][]int64, nSched)
 	s.slotBuf = make([][]int, nSched)
 	per := (cfg.MaxWarpsPerSM + nSched - 1) / nSched
 	for i := range s.scheds {
 		s.scheds[i] = sched.New(cfg.Scheduler)
-		s.readyBuf[i] = make([]bool, 0, per)
 		s.ageBuf[i] = make([]int64, 0, per)
 		s.slotBuf[i] = make([]int, 0, per)
 	}
@@ -197,7 +194,6 @@ func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
 		sc.Reset()
 	}
 	for i := range s.slotBuf {
-		s.readyBuf[i] = s.readyBuf[i][:0]
 		s.ageBuf[i] = s.ageBuf[i][:0]
 		s.slotBuf[i] = s.slotBuf[i][:0]
 	}
@@ -348,12 +344,7 @@ func (s *sm) issue(cycle int64, eg *egress) issueResult {
 		if len(slots) == 0 {
 			continue
 		}
-		ready := s.readyBuf[si][:0]
-		for _, slot := range slots {
-			ready = append(ready, s.readyAt[slot] <= cycle)
-		}
-		s.readyBuf[si] = ready
-		pick := s.scheds[si].Pick(ready, s.ageBuf[si])
+		pick := s.scheds[si].Pick(slots, s.readyAt, cycle, s.ageBuf[si])
 		if pick < 0 {
 			continue
 		}
