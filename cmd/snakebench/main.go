@@ -35,7 +35,6 @@ func main() {
 		jsonOut    = flag.String("json-out", "BENCH_sim.json", "output path for -json")
 		baseline   = flag.String("baseline", "", "with -json: committed BENCH_sim.json to guard against throughput regressions (>20% fails)")
 		parallel   = flag.Int("parallel", 1, "SM-shard workers per experiment run (same results at any value)")
-		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same results at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -61,7 +60,7 @@ func main() {
 		return
 	}
 	if *phases {
-		if err := reportPhases(*parallel, *slack); err != nil {
+		if err := reportPhases(*parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "snakebench:", err)
 			os.Exit(1)
 		}
@@ -78,7 +77,6 @@ func main() {
 
 	r := newRunner(*sms, *warps, *ctas, *iters)
 	r.Parallelism = *parallel
-	r.SlackWindow = *slack
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		e, ok := harness.Experiments[id]

@@ -27,12 +27,13 @@ type simBenchEntry struct {
 	DisableSkip bool   `json:"disable_skip"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	// App marks launch-layer cases: Bench names an application from the
-	// workloads app registry and the op under timing is sim.RunApp (the
-	// whole launch graph), not sim.Run of one kernel.
+	// workloads app registry and the op under timing is Engine.RunApp on a
+	// fresh engine (the whole launch graph), not sim.Run of one kernel.
 	App   bool `json:"app,omitempty"`
 	Chain bool `json:"chain,omitempty"`
-	// Reuse marks pooled-engine cases (the op is RunTagged on a warmed
-	// persistent Engine); their allocs/op is the steady-state residual.
+	// Reuse marks pooled-engine cases (the op is a tagged Engine.Run on a
+	// warmed persistent Engine); their allocs/op is the steady-state
+	// residual.
 	Reuse bool `json:"reuse,omitempty"`
 	// BarrierOverheadOnly marks parallel rows measured on a machine whose
 	// GOMAXPROCS cannot host the workers (forced multi-worker execution on
@@ -80,11 +81,11 @@ type simBenchFile struct {
 	RouteShare map[string]float64 `json:"route_share,omitempty"`
 	MergeShare map[string]float64 `json:"merge_share,omitempty"`
 	// BarriersPerKcycle is barrier waves per thousand simulated cycles for
-	// each profiled run at -slack auto. The regression guard watches it
-	// alongside SerialShare: bounded-slack ticking amortizes the per-cycle
-	// barrier, and a change that silently shortens epochs (more barriers for
-	// the same cycles) would re-serialize the executor without moving any
-	// ns/op case past its tolerance.
+	// each profiled run. The regression guard watches it alongside
+	// SerialShare: bounded-slack ticking amortizes the per-cycle barrier,
+	// and a change that silently shortens epochs (more barriers for the
+	// same cycles) would re-serialize the executor without moving any ns/op
+	// case past its tolerance.
 	BarriersPerKcycle map[string]float64 `json:"barriers_per_kcycle,omitempty"`
 }
 
@@ -95,7 +96,7 @@ type simBenchFile struct {
 // targets in practice. Reuse cases re-run their base case on a persistent
 // warmed sim.Engine, the steady-state shape of sweep traffic through the
 // harness engine pool: their allocs/op and bytes/op measure only the per-run
-// residual, not arena construction. App cases time sim.RunApp on a whole
+// residual, not arena construction. App cases time Engine.RunApp on a whole
 // launch graph — the multi-kernel case exercises the launch scheduler plus
 // cross-launch chain persistence, the co-tenant case exercises partitioned
 // concurrent launches — so launch-layer overhead shows up as its own row
@@ -107,7 +108,7 @@ type simBenchCase struct {
 	parallelism int // 0: serial engine (Parallelism 1)
 	midScale    bool
 	reuse       bool
-	app         bool // bench names an application; op is sim.RunApp
+	app         bool // bench names an application; op is Engine.RunApp
 	chain       bool // persist chain tables across launches (app cases)
 }
 
@@ -200,15 +201,16 @@ func writeSimBench(path, baselinePath string) error {
 		if c.reuse {
 			// Persistent engine, warmed before timing: the measured op is the
 			// steady-state reinitialize-and-run that pooled sweep traffic pays.
+			opt.PrefetcherTag = "snake"
 			en := sim.NewEngine()
-			if _, err := en.RunTagged(k, opt, "snake"); err != nil {
+			if _, err := en.Run(k, opt); err != nil {
 				return err
 			}
 			r = testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				cycles = 0
 				for i := 0; i < b.N; i++ {
-					res, err := en.RunTagged(k, opt, "snake")
+					res, err := en.Run(k, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -249,7 +251,7 @@ func writeSimBench(path, baselinePath string) error {
 			// clocks for the parallel cases (par1 included, as the serial
 			// reference the share comparison needs). Reuse rows profile
 			// identically to their fresh siblings, so they are skipped.
-			prof, profCycles, err := measurePhases(k, cfg, c.parallelism, 0)
+			prof, profCycles, err := measurePhases(k, cfg, c.parallelism)
 			if err != nil {
 				return err
 			}
@@ -303,9 +305,9 @@ func writeSimBench(path, baselinePath string) error {
 	return nil
 }
 
-// measureAppCase times sim.RunApp on one application launch graph at the
-// standard 4×64 experiment machine — the launch-scheduler counterpart of the
-// kernel rows. The co-tenant app runs its partitioned launches concurrently,
+// measureAppCase times a fresh engine's RunApp on one application launch
+// graph at the standard 4×64 experiment machine — the launch-scheduler
+// counterpart of the kernel rows. The co-tenant app runs its partitioned launches concurrently,
 // the pipeline app serially with chain persistence; both regress here if the
 // launch layer grows per-launch overhead.
 func measureAppCase(c simBenchCase) (simBenchEntry, error) {
@@ -324,7 +326,9 @@ func measureAppCase(c simBenchCase) (simBenchEntry, error) {
 		b.ReportAllocs()
 		cycles = 0
 		for i := 0; i < b.N; i++ {
-			res, err := sim.RunApp(a, opt)
+			en := sim.NewEngine()
+			res, err := en.RunApp(a, opt)
+			en.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -385,13 +389,12 @@ func checkParallelAllocsFlat(entries []simBenchEntry) error {
 // measurePhases runs the kernel once with a phase accumulator attached and
 // returns the per-phase wall clock plus the run's simulated cycle count
 // (the denominator for barriers-per-kilocycle).
-func measurePhases(k *trace.Kernel, cfg config.GPU, parallelism, slack int) (*profiling.Phases, int64, error) {
+func measurePhases(k *trace.Kernel, cfg config.GPU, parallelism int) (*profiling.Phases, int64, error) {
 	var prof profiling.Phases
 	opt := sim.Options{
 		Config:        cfg,
 		NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
 		Parallelism:   parallelism,
-		SlackWindow:   slack,
 		PhaseProfile:  &prof,
 		// Profile the real multi-worker phase split even where GOMAXPROCS
 		// would clamp it away (the shares are then barrier-overhead shares).
@@ -412,9 +415,9 @@ func measurePhases(k *trace.Kernel, cfg config.GPU, parallelism, slack int) (*pr
 // and merge% broken out so each serial phase's trajectory is visible on its
 // own (their sum must stay noise-level; see routeMergeShareMax). The barriers and
 // cyc/barrier columns show how well bounded-slack ticking amortizes the wave
-// barrier (honors -slack; cyc/barrier counts only ticked cycles, so skipped
-// spans do not inflate it).
-func reportPhases(parallel, slack int) error {
+// barrier (cyc/barrier counts only ticked cycles, so skipped spans do not
+// inflate it).
+func reportPhases(parallel int) error {
 	if parallel <= 1 {
 		parallel = 4
 	}
@@ -427,7 +430,7 @@ func reportPhases(parallel, slack int) error {
 		}
 		cfg := config.Scaled(8, 48)
 		for _, p := range []int{1, parallel} {
-			prof, _, err := measurePhases(k, cfg, p, slack)
+			prof, _, err := measurePhases(k, cfg, p)
 			if err != nil {
 				return err
 			}

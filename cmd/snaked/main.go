@@ -50,7 +50,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "concurrent job limit (default: GOMAXPROCS; CPU use is bounded by the shared budget, not this)")
 		parallel = flag.Int("parallel", 1, "default per-run SM-shard workers (jobs may override; draws from the shared CPU budget)")
-		slack    = flag.Int("slack", 0, "default per-run bounded-slack epoch length (jobs may override; 0: auto from config)")
 		numSM    = flag.Int("sms", 4, "simulated SMs in the default GPU config")
 		warps    = flag.Int("warps", 64, "warps per SM in the default GPU config")
 		ctas     = flag.Int("ctas", 0, "default workload scale: CTAs (0: paper default)")
@@ -91,8 +90,7 @@ func main() {
 
 	svc := service.New(service.Options{
 		Workers: *workers, GPU: &gpu, Scale: &scale, Parallelism: *parallel,
-		SlackWindow: *slack,
-		QueueMax:    *queueMax, CacheMaxBytes: *cacheMax, CacheDir: *cacheDir,
+		QueueMax: *queueMax, CacheMaxBytes: *cacheMax, CacheDir: *cacheDir,
 		Self: *self, Peers: peerList, PeerInflight: *peerFlight,
 		PeerExecTimeout: *peerExecTO,
 	})

@@ -37,7 +37,6 @@ func main() {
 		list       = flag.Bool("list", false, "list benchmarks and mechanisms")
 		noskip     = flag.Bool("noskip", false, "disable event-driven cycle skipping (same stats, slower)")
 		parallel   = flag.Int("parallel", 1, "SM-shard workers per simulated cycle (same stats at any value)")
-		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same stats at any value)")
 		slackaudit = flag.Bool("slackaudit", false, "print the config's slack-bound derivation and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -72,8 +71,9 @@ func main() {
 		NewPrefetcher: factory,
 		DisableSkip:   *noskip,
 		Parallelism:   *parallel,
-		SlackWindow:   *slack,
 	}
+	en := sim.NewEngine()
+	defer en.Close()
 
 	var s *stats.Sim
 	var appRes *sim.AppResult
@@ -85,7 +85,7 @@ func main() {
 			fatal(err)
 		}
 		opt.ChainPersistence = *chain
-		appRes, err = sim.RunApp(a, opt)
+		appRes, err = en.RunApp(a, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -97,7 +97,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := sim.Run(k, opt)
+		res, err := en.Run(k, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -107,9 +107,8 @@ func main() {
 	}
 	fmt.Printf("benchmark        %s\n", name)
 	fmt.Printf("mechanism        %s\n", *pf)
-	fmt.Printf("slack            horizon=%d window=%d turnaround=%d (bound by %s%s)\n",
-		slackRes.Horizon, slackRes.Window, slackRes.Turnaround, slackRes.BindingTerm,
-		clampNote(slackRes))
+	fmt.Printf("slack            horizon=%d turnaround=%d (bound by %s)\n",
+		slackRes.Horizon, slackRes.Turnaround, slackRes.BindingTerm)
 	fmt.Printf("cycles           %d\n", s.Cycles)
 	fmt.Printf("instructions     %d\n", s.Insts)
 	fmt.Printf("loads            %d\n", s.Loads)
@@ -146,15 +145,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// clampNote annotates the slack line when the requested window exceeded the
-// config's provable bound and was clamped down.
-func clampNote(si sim.SlackInfo) string {
-	if !si.Clamped {
-		return ""
-	}
-	return fmt.Sprintf("; requested %d clamped", si.Requested)
 }
 
 // printSlackAudit prints the config's slack-bound derivation: every

@@ -96,7 +96,8 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pooled.RunTagged(dk, sim.Options{Config: cfg, NewPrefetcher: factory}, mech); err != nil {
+	defer pooled.Close()
+	if _, err := pooled.Run(dk, sim.Options{Config: cfg, NewPrefetcher: factory, PrefetcherTag: mech}); err != nil {
 		t.Fatal(err)
 	}
 	run := func(disableSkip bool, parallelism int, reuse bool) *sim.Result {
@@ -108,7 +109,8 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 		}
 		var res *sim.Result
 		if reuse {
-			res, err = pooled.RunTagged(k, opt, mech)
+			opt.PrefetcherTag = mech
+			res, err = pooled.Run(k, opt)
 		} else {
 			res, err = sim.Run(k, opt)
 		}

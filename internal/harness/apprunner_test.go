@@ -10,7 +10,7 @@ import (
 
 // TestRunnerAppMemoizes: app runs are memoized per (app, mech, chain), the
 // two chain policies occupy distinct cache slots, and the pooled harness path
-// is bit-identical to a direct sim.RunApp with the same options.
+// is bit-identical to a direct Engine.RunApp with the same options.
 func TestRunnerAppMemoizes(t *testing.T) {
 	r := tinyRunner()
 	a1, err := r.RunApp("warmup", "snake", true)
@@ -40,14 +40,16 @@ func TestRunnerAppMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunApp(app, sim.Options{
+	en := sim.NewEngine()
+	defer en.Close()
+	want, err := en.RunApp(app, sim.Options{
 		Config: r.Cfg, NewPrefetcher: f, ChainPersistence: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a1, want) {
-		t.Error("harness app run diverges from direct sim.RunApp")
+		t.Error("harness app run diverges from a direct Engine.RunApp")
 	}
 }
 
@@ -124,7 +126,9 @@ func TestEnginePoolRunApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := sim.Options{Config: r.Cfg, NewPrefetcher: f}
-	want, err := sim.RunApp(app, opt)
+	en := sim.NewEngine()
+	defer en.Close()
+	want, err := en.RunApp(app, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

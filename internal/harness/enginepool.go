@@ -14,9 +14,10 @@ import (
 // prefetcher instances match the requested mechanism; a run drawn from the
 // pool reinitializes those arenas in place instead of reallocating them.
 //
-// The tag follows sim.Engine.RunTagged's contract: it must uniquely identify
-// the prefetcher factory's configuration (the mechanism registry name is the
-// canonical choice), and the empty tag always constructs prefetchers fresh.
+// The tag becomes the run's sim.Options.PrefetcherTag, with that field's
+// contract: it must uniquely identify the prefetcher factory's configuration
+// (the mechanism registry name is the canonical choice), and the empty tag
+// always constructs prefetchers fresh.
 // Pooling is transparent to results: the sim package guarantees recycled
 // engines produce bit-identical statistics.
 type EnginePool struct {
@@ -52,7 +53,8 @@ func (p *EnginePool) Run(k *trace.Kernel, opt sim.Options, tag string) (*sim.Res
 	if en == nil {
 		en = sim.NewEngine()
 	}
-	res, err := en.RunTagged(k, opt, tag)
+	opt.PrefetcherTag = tag
+	res, err := en.Run(k, opt)
 	sp.Put(en)
 	return res, err
 }
@@ -68,7 +70,8 @@ func (p *EnginePool) RunApp(a *trace.App, opt sim.Options, tag string) (*sim.App
 	if en == nil {
 		en = sim.NewEngine()
 	}
-	res, err := en.RunAppTagged(a, opt, tag)
+	opt.PrefetcherTag = tag
+	res, err := en.RunApp(a, opt)
 	sp.Put(en)
 	return res, err
 }

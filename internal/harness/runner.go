@@ -31,10 +31,6 @@ type Runner struct {
 	// Each running simulation holds that many Budget slots, so concurrency ×
 	// parallelism never exceeds the budget.
 	Parallelism int
-	// SlackWindow is the sim.Options.SlackWindow for each run (default 0:
-	// auto — the config-derived maximum). Results are bit-identical at every
-	// setting, so like Parallelism it is not part of the memoization key.
-	SlackWindow int
 	// Split is the tenant-0 SM share for application runs that partition the
 	// machine (0: an even halving). It shapes the assembled app's SM masks
 	// and therefore participates in keys via the app's content digest.
@@ -213,7 +209,6 @@ func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string
 		NewPrefetcher: f,
 		Context:       ctx,
 		Parallelism:   granted,
-		SlackWindow:   r.SlackWindow,
 		PhaseProfile:  r.PhaseProfile,
 	}, tag)
 	if err != nil {
@@ -345,7 +340,6 @@ func (r *Runner) executeApp(ctx context.Context, res *runResult, label, mech str
 		NewPrefetcher:    f,
 		Context:          ctx,
 		Parallelism:      granted,
-		SlackWindow:      r.SlackWindow,
 		ChainPersistence: chain,
 		PhaseProfile:     r.PhaseProfile,
 	}, mech)

@@ -32,10 +32,6 @@ type Options struct {
 	// Parallelism is the default per-run SM-shard worker count for jobs that
 	// do not request one (default 1).
 	Parallelism int
-	// SlackWindow is the default per-run epoch length (sim.Options
-	// .SlackWindow) for jobs that do not request one (default 0: auto, the
-	// config-derived maximum). Results are bit-identical at every setting.
-	SlackWindow int
 	// Budget is the CPU-slot budget simulations draw from (default: the
 	// process-wide harness.SharedBudget, shared with any harness.Runner in
 	// the same process so the two pools cannot oversubscribe the host
@@ -79,7 +75,6 @@ type Service struct {
 	gpu         config.GPU
 	scale       workloads.Scale
 	parallelism int
-	slack       int
 	workers     int
 	budget      *harness.Budget
 	queue       *jobQueue
@@ -147,9 +142,6 @@ func New(opt Options) *Service {
 	if opt.Parallelism < 1 {
 		opt.Parallelism = 1
 	}
-	if opt.SlackWindow < 0 {
-		opt.SlackWindow = 0
-	}
 	if opt.Budget == nil {
 		opt.Budget = harness.SharedBudget()
 	}
@@ -158,7 +150,6 @@ func New(opt Options) *Service {
 		gpu:         gpu,
 		scale:       scale,
 		parallelism: opt.Parallelism,
-		slack:       opt.SlackWindow,
 		workers:     opt.Workers,
 		budget:      opt.Budget,
 		queue:       newJobQueue(opt.QueueMax),
@@ -279,20 +270,6 @@ func (s *Service) normalize(req RunRequest) (spec, error) {
 	if sp.parallelism == 0 {
 		sp.parallelism = s.parallelism
 	}
-	if req.Slack < 0 {
-		return spec{}, errors.New("slack must be non-negative")
-	}
-	sp.slack = req.Slack
-	if sp.slack == 0 {
-		sp.slack = s.slack
-	}
-	if bound := sp.gpu.SlackBound(); sp.slack > bound {
-		// Not an error: the engine clamps the window to the provable bound
-		// and results are bit-identical at every setting. But the caller asked
-		// for an epoch length the hardware model cannot admit, so say so.
-		sp.warning = fmt.Sprintf("slack %d exceeds the config bound %d; the engine clamps the epoch window to %d",
-			sp.slack, bound, bound)
-	}
 	if sp.app != "" {
 		// Intern the app now (for the resolved machine and scale) so
 		// ill-partitioned requests fail at submission and the content digest
@@ -397,7 +374,7 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 		r.Snake = req.Snake
 		r.GPU, r.Scale = req.GPU, req.Scale
 		r.Priority, r.TimeoutMS = req.Priority, req.TimeoutMS
-		r.Parallelism, r.Slack = req.Parallelism, req.Slack
+		r.Parallelism = req.Parallelism
 		sp, err := s.normalize(r)
 		if err != nil {
 			return err

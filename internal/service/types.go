@@ -68,11 +68,6 @@ type RunRequest struct {
 	// so a wide run trades against job concurrency rather than
 	// oversubscribing the host.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Slack is the per-run bounded-slack epoch length (sim.Options
-	// .SlackWindow): 0 uses the server default (itself 0 = auto, the
-	// config-derived maximum). Results are bit-identical at every value;
-	// like Parallelism it only changes wall clock.
-	Slack int `json:"slack,omitempty"`
 }
 
 // SweepRequest submits the cross product of (benches ∪ apps) × mechs as one
@@ -89,7 +84,6 @@ type SweepRequest struct {
 	Priority    int              `json:"priority,omitempty"`
 	TimeoutMS   int64            `json:"timeout_ms,omitempty"`
 	Parallelism int              `json:"parallelism,omitempty"`
-	Slack       int              `json:"slack,omitempty"`
 }
 
 // Status is a job's lifecycle state.
@@ -148,14 +142,10 @@ type RunView struct {
 	// "disk", "peer"), a forwarded execution on the owning peer
 	// ("forward:memory", "forward:disk", "forward:sim"), or a local
 	// simulation ("sim").
-	Source string `json:"source,omitempty"`
-	Error  string `json:"error,omitempty"`
-	// Warning carries normalize-time advisories that did not reject the
-	// request — e.g. a slack window beyond the config's provable bound,
-	// which the engine clamps (results are unchanged, only wall clock).
-	Warning string  `json:"warning,omitempty"`
-	WallMS  float64 `json:"wall_ms,omitempty"`
-	Result  *Result `json:"result,omitempty"`
+	Source string  `json:"source,omitempty"`
+	Error  string  `json:"error,omitempty"`
+	WallMS float64 `json:"wall_ms,omitempty"`
+	Result *Result `json:"result,omitempty"`
 }
 
 // SweepView is the wire representation of a sweep.
@@ -197,11 +187,10 @@ type AppInfo struct {
 	Description string `json:"description"`
 }
 
-// spec is a normalized, validated job specification. parallelism and slack
-// are not part of the content address: they change wall clock, never
-// results. noForward
-// marks work that arrived from a peer: it must be produced locally, never
-// forwarded again (loop prevention).
+// spec is a normalized, validated job specification. parallelism is not
+// part of the content address: it changes wall clock, never results.
+// noForward marks work that arrived from a peer: it must be produced
+// locally, never forwarded again (loop prevention).
 type spec struct {
 	bench       string
 	app         string // application name; empty for single-kernel jobs
@@ -215,8 +204,6 @@ type spec struct {
 	priority    int
 	timeout     time.Duration
 	parallelism int
-	slack       int
-	warning     string // normalize-time advisory (e.g. slack beyond the bound)
 	noForward   bool
 	factory     harness.Factory
 }
@@ -232,8 +219,8 @@ func (sp *spec) workload() string {
 
 // wireRequest reconstructs a forwardable RunRequest from the normalized
 // spec. GPU and scale are always sent explicitly so the peer normalizes to
-// the same content address whatever its own defaults are; parallelism and
-// slack are local-resource knobs and are left to the peer's defaults.
+// the same content address whatever its own defaults are; parallelism is a
+// local-resource knob and is left to the peer's default.
 func (sp *spec) wireRequest() RunRequest {
 	gpu, scale := sp.gpu, sp.scale
 	req := RunRequest{

@@ -42,16 +42,15 @@ func (j *job) view() RunView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := RunView{
-		ID:      j.id,
-		Bench:   j.spec.bench,
-		App:     j.spec.app,
-		Chain:   j.spec.chain,
-		Mech:    j.spec.mech,
-		Key:     j.key,
-		Status:  j.status,
-		Cached:  j.cached,
-		Source:  j.source,
-		Warning: j.spec.warning,
+		ID:     j.id,
+		Bench:  j.spec.bench,
+		App:    j.spec.app,
+		Chain:  j.spec.chain,
+		Mech:   j.spec.mech,
+		Key:    j.key,
+		Status: j.status,
+		Cached: j.cached,
+		Source: j.source,
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
@@ -215,7 +214,6 @@ func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
 		NewPrefetcher: sp.factory,
 		Context:       ctx,
 		Parallelism:   granted,
-		SlackWindow:   sp.slack,
 	}
 	if sp.app != "" {
 		// Application job: the interned app was assembled (and validated) at

@@ -10,7 +10,7 @@ import (
 	"snake/internal/workloads"
 )
 
-// appCells are the (Parallelism, SlackWindow) pairs the app tests sweep:
+// appCells are the (Parallelism, slackWindow) pairs the app tests sweep:
 // per-cycle serial, short epochs under the sharded barrier, and auto-length
 // epochs up to one worker per unit — the same spread as the pooled matrix.
 var appCells = []struct{ p, slack int }{{1, 1}, {4, 2}, {4, 0}, {12, 0}}
@@ -28,7 +28,7 @@ func buildTestApp(t *testing.T, name string) *trace.App {
 // TestAppSingleLaunchBitIdentical is the refactor-safety oracle: every
 // benchmark run as a trivial one-launch App must produce a Result
 // bit-identical to the kernel Run path, for every mechanism, skip setting,
-// Parallelism and SlackWindow — the launch layer changed the engine's
+// Parallelism and slackWindow — the launch layer changed the engine's
 // structure, not its semantics. The per-launch record must agree with the
 // aggregate.
 func TestAppSingleLaunchBitIdentical(t *testing.T) {
@@ -43,13 +43,13 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 				for _, cell := range appCells {
 					opt := Options{
 						Config: parCfg(), NewPrefetcher: pf, DisableSkip: !skip,
-						Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+						Parallelism: cell.p, slackWindow: cell.slack, ForceParallelism: true,
 					}
 					want, err := Run(k, opt)
 					if err != nil {
 						t.Fatalf("%s/%s kernel: %v", name, mech, err)
 					}
-					got, err := RunApp(a, opt)
+					got, err := runApp(a, opt)
 					if err != nil {
 						t.Fatalf("%s/%s app: %v", name, mech, err)
 					}
@@ -77,7 +77,7 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 
 // TestAppScenariosDeterministic: the multi-kernel and two-tenant scenarios
 // produce bit-identical AppResults — per-launch records and tenant rollups
-// included — at every skip, Parallelism and SlackWindow setting, under both
+// included — at every skip, Parallelism and slackWindow setting, under both
 // chain-persistence policies. Also pins the attribution invariant: execution
 // windows partition the run, so per-launch insts/loads sum to the totals.
 func TestAppScenariosDeterministic(t *testing.T) {
@@ -85,9 +85,9 @@ func TestAppScenariosDeterministic(t *testing.T) {
 	for _, app := range workloads.AppNames() {
 		a := buildTestApp(t, app)
 		for _, chain := range []bool{false, true} {
-			ref, err := RunApp(a, Options{
+			ref, err := runApp(a, Options{
 				Config: parCfg(), NewPrefetcher: pf, DisableSkip: true,
-				Parallelism: 1, SlackWindow: 1, ChainPersistence: chain,
+				Parallelism: 1, slackWindow: 1, ChainPersistence: chain,
 			})
 			if err != nil {
 				t.Fatalf("%s chain=%v ref: %v", app, chain, err)
@@ -112,15 +112,15 @@ func TestAppScenariosDeterministic(t *testing.T) {
 					if !skip && cell.p == 1 && cell.slack == 1 {
 						continue // the reference itself
 					}
-					got, err := RunApp(a, Options{
+					got, err := runApp(a, Options{
 						Config: parCfg(), NewPrefetcher: pf, DisableSkip: !skip,
-						Parallelism: cell.p, SlackWindow: cell.slack,
+						Parallelism: cell.p, slackWindow: cell.slack,
 						ForceParallelism: true, ChainPersistence: chain,
 					})
 					if err != nil {
 						t.Fatalf("%s chain=%v P=%d slack=%d: %v", app, chain, cell.p, cell.slack, err)
 					}
-					// Result.Slack echoes the requested window, which differs
+					// Result.Slack reports the resolved window, which differs
 					// across cells by design; the oracle is the output.
 					got.Slack = ref.Slack
 					if !reflect.DeepEqual(got, ref) {
@@ -138,7 +138,7 @@ func TestAppScenariosDeterministic(t *testing.T) {
 // genuinely overlapped in time (co-residency, not serialization).
 func TestAppTenantRollups(t *testing.T) {
 	a := buildTestApp(t, "cotenant")
-	res, err := RunApp(a, Options{Config: parCfg()})
+	res, err := runApp(a, Options{Config: parCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,8 @@ func TestAppLaunchOrderTieBreak(t *testing.T) {
 		turn = TurnaroundCap
 	}
 	for _, cell := range appCells {
-		res, err := RunApp(mk(hot, lps), Options{
-			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+		res, err := runApp(mk(hot, lps), Options{
+			Config: cfg, Parallelism: cell.p, slackWindow: cell.slack, ForceParallelism: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,8 +212,8 @@ func TestAppLaunchOrderTieBreak(t *testing.T) {
 		}
 		// Swapped App: the same two kernels in the opposite positions must
 		// execute in the opposite order (index 1 always first).
-		swapped, err := RunApp(mk(lps, hot), Options{
-			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+		swapped, err := runApp(mk(lps, hot), Options{
+			Config: cfg, Parallelism: cell.p, slackWindow: cell.slack, ForceParallelism: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +235,7 @@ func TestAppLaunchOrderTieBreak(t *testing.T) {
 func TestAppChainPersistence(t *testing.T) {
 	a := buildTestApp(t, "warmup")
 	run := func(chain bool) *AppResult {
-		res, err := RunApp(a, Options{
+		res, err := runApp(a, Options{
 			Config:           parCfg(),
 			NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
 			ChainPersistence: chain,
@@ -281,7 +281,7 @@ func TestPooledAppEquivalenceMatrix(t *testing.T) {
 		for _, cell := range appCells {
 			opt := Options{
 				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+				Parallelism: cell.p, slackWindow: cell.slack, ForceParallelism: true,
 				ChainPersistence: true,
 			}
 			check := func(step string, got, want any) {
@@ -294,30 +294,30 @@ func TestPooledAppEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := en.RunTagged(k, opt, mech)
+			got, err := en.Run(k, tagged(opt, mech))
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("single-kernel", got, want)
-			wantPipe, err := RunApp(pipeline, opt)
+			wantPipe, err := runApp(pipeline, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPipe, err := en.RunAppTagged(pipeline, opt, mech)
+			gotPipe, err := en.RunApp(pipeline, tagged(opt, mech))
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("multi-kernel", gotPipe, wantPipe)
-			wantCo, err := RunApp(cotenant, opt)
+			wantCo, err := runApp(cotenant, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCo, err := en.RunAppTagged(cotenant, opt, mech)
+			gotCo, err := en.RunApp(cotenant, tagged(opt, mech))
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("two-tenant", gotCo, wantCo)
-			got, err = en.RunTagged(k, opt, mech)
+			got, err = en.Run(k, tagged(opt, mech))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,16 +336,83 @@ func TestRunAppValidation(t *testing.T) {
 	bad := &trace.App{Name: "bad", Launches: []trace.KernelLaunch{
 		{Kernel: k, SMMask: 1 << uint(cfg.NumSM)},
 	}}
-	if _, err := RunApp(bad, Options{Config: cfg}); err == nil {
+	if _, err := runApp(bad, Options{Config: cfg}); err == nil {
 		t.Error("mask beyond NumSM accepted")
 	}
-	if _, err := RunApp(&trace.App{Name: "empty"}, Options{Config: cfg}); err == nil {
+	if _, err := runApp(&trace.App{Name: "empty"}, Options{Config: cfg}); err == nil {
 		t.Error("empty app accepted")
 	}
 	loop := &trace.App{Name: "loop", Launches: []trace.KernelLaunch{
 		{Kernel: k, DependsOn: []int{0}},
 	}}
-	if _, err := RunApp(loop, Options{Config: cfg}); err == nil {
+	if _, err := runApp(loop, Options{Config: cfg}); err == nil {
 		t.Error("self-dependency accepted")
+	}
+	laterBad := &trace.App{Name: "later-bad", Launches: []trace.KernelLaunch{
+		{Kernel: k},
+		{Kernel: &trace.Kernel{Name: "bad"}, DependsOn: []int{0}},
+	}}
+	if _, err := runApp(laterBad, Options{Config: cfg}); err == nil {
+		t.Error("invalid kernel in a later launch accepted")
+	}
+}
+
+// TestAppChainRunsAllKernels: a dependency-chained App of two different
+// kernels retires every instruction of both, attributes each launch exactly
+// its own kernel's instructions, and starts the successor only after its
+// predecessor retired.
+func TestAppChainRunsAllKernels(t *testing.T) {
+	lps, _ := workloads.Build("lps", workloads.Tiny())
+	hot, _ := workloads.Build("hotspot", workloads.Tiny())
+	a := &trace.App{Name: "chain", Launches: []trace.KernelLaunch{
+		{Kernel: lps},
+		{Kernel: hot, DependsOn: []int{0}},
+	}}
+	res, err := runApp(a, Options{Config: tinyCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Launches) != 2 || res.Launches[0].Kernel != "lps" || res.Launches[1].Kernel != "hotspot" {
+		t.Fatalf("launch records: %+v", res.Launches)
+	}
+	if want := int64(lps.TotalInsts() + hot.TotalInsts()); res.Stats.Insts != want {
+		t.Errorf("retired %d instructions, want %d", res.Stats.Insts, want)
+	}
+	for i, k := range []*trace.Kernel{lps, hot} {
+		if got := res.Launches[i].Stats.Insts; got != int64(k.TotalInsts()) {
+			t.Errorf("launch %d retired %d instructions, want %d", i, got, k.TotalInsts())
+		}
+	}
+	if res.Launches[1].StartCycle < res.Launches[0].RetireCycle {
+		t.Error("launch 1 started before launch 0 retired")
+	}
+}
+
+// TestAppWarmChainsHelpRelaunch: relaunching an identical, perfectly regular
+// kernel with Snake's chain tables carried over must be competitive with a
+// relaunch that retrains from scratch (stale Head-table entries cost a few
+// mismatch demotions at the start, so allow a small margin).
+func TestAppWarmChainsHelpRelaunch(t *testing.T) {
+	k := workloads.StreamMicro(workloads.Scale{CTAs: 6, WarpsPerCTA: 4, Iters: 12}, 512)
+	a := &trace.App{Name: "relaunch", Launches: []trace.KernelLaunch{
+		{Kernel: k},
+		{Kernel: k, DependsOn: []int{0}},
+	}}
+	run := func(chain bool) *AppResult {
+		res, err := runApp(a, Options{
+			Config:           tinyCfg(),
+			NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
+			ChainPersistence: chain,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	warm := run(true).Launches[1].Stats.Cycles
+	cold := run(false).Launches[1].Stats.Cycles
+	t.Logf("relaunch cycles: warm=%d cold=%d", warm, cold)
+	if float64(warm) > 1.10*float64(cold) {
+		t.Errorf("warm relaunch (%d cycles) much slower than cold (%d)", warm, cold)
 	}
 }

@@ -66,16 +66,6 @@ type Options struct {
 	// equivalence tests, which must exercise the real multi-worker barrier
 	// on single-core CI machines.
 	ForceParallelism bool
-	// SlackWindow is the bounded-slack epoch length: how many consecutive
-	// cycles every work unit ticks between barriers. 0 (auto) and anything
-	// above the config's provable bound resolve to that bound
-	// (config.SlackBound, the full audit-derived horizon); 1 degenerates to
-	// a barrier per cycle. Result.Stats is bit-identical at every setting —
-	// message visibility is gated on the config-derived slack horizon, never
-	// on the runtime epoch length — so callers pick purely on sync overhead.
-	// Result.Slack reports the resolved parameters. See DESIGN.md
-	// "Bounded-slack ticking".
-	SlackWindow int
 	// LatencyAudit, when non-nil, receives the minimum cross-boundary
 	// latencies actually observed during the run — the empirical floor the
 	// slack property test checks the config-derived bound against.
@@ -104,10 +94,28 @@ type Options struct {
 	// exists as an escape hatch for debugging and for validating that
 	// equivalence.
 	DisableSkip bool
+	// PrefetcherTag is an opaque identifier for the configuration behind
+	// NewPrefetcher (e.g. the mechanism registry name). When non-empty and
+	// equal to the previous run's tag on the same Engine, the engine calls
+	// Reset on its existing prefetcher instances instead of constructing new
+	// ones, so back-to-back runs of one mechanism allocate nothing for
+	// prefetch state either. Callers must guarantee that equal tags imply
+	// equivalent factories; the empty tag never reuses prefetchers.
+	PrefetcherTag string
+
+	// slackWindow is the bounded-slack epoch length: how many consecutive
+	// cycles every work unit ticks between barriers. 0 (auto) and anything
+	// above the config's provable bound resolve to that bound
+	// (config.SlackBound); 1 degenerates to a barrier per cycle.
+	// Result.Stats is bit-identical at every setting — message visibility is
+	// gated on the config-derived slack horizon, never on the runtime epoch
+	// length — so only the package tests set it, to prove exactly that. See
+	// DESIGN.md "Bounded-slack ticking".
+	slackWindow int
 }
 
 // withDefaults returns opt with zero-valued tunables replaced by their
-// defaults (shared by Run, RunSequence and the white-box tests).
+// defaults (shared by Engine.run and the white-box tests).
 func (opt Options) withDefaults() Options {
 	if opt.MaxCycles <= 0 {
 		opt.MaxCycles = 20_000_000
@@ -159,7 +167,6 @@ type engine struct {
 
 	// Application launch state (see launch.go): the machine below survives
 	// across runs and launches; everything here is rebuilt by loadApp.
-	app       *trace.App
 	launches  []launchRun
 	pendingLn int     // launches not yet activated
 	wakeAt    []int64 // matured launch-scheduler wake cycles, ascending
@@ -169,10 +176,6 @@ type engine struct {
 	smBusy []int
 	smAttr []int
 	smBase []stats.Sim
-	// oneLaunch/oneApp are engine-owned scratch wrapping a bare kernel as
-	// a one-launch App without allocating (singleApp).
-	oneLaunch [1]trace.KernelLaunch
-	oneApp    trace.App
 
 	cycle  int64
 	net    *icntNet
@@ -247,9 +250,9 @@ type engine struct {
 	// the full config.SlackBound, a pure function of the config. turn is
 	// the turnaround delay applied to store sends, CTA redispatch and
 	// launch wakes: min(horizon, TurnaroundCap), also config-pure. slackMax
-	// is the runtime epoch-length cap — Options.SlackWindow resolved into
-	// [1, horizon]. Statistics depend on horizon and turn only, never on
-	// where epoch boundaries fall, which is what makes every SlackWindow
+	// is the runtime epoch-length cap — the slackWindow option resolved
+	// into [1, horizon]. Statistics depend on horizon and turn only, never
+	// on where epoch boundaries fall, which is what makes every window
 	// setting bit-identical.
 	horizon  int64
 	turn     int64
@@ -260,7 +263,7 @@ type engine struct {
 	slackOK    bool
 	slackInfo  SlackInfo // resolved slack parameters, surfaced in Result
 	epochStart int64     // first sub-cycle of the epoch being ticked
-	utilSnap []float64 // per-sub-cycle response-network utilization snapshots
+	utilSnap   []float64 // per-sub-cycle response-network utilization snapshots
 	// respSeq is the global arrival stamp, assigned at injection (pushReq);
 	// each request's response inherits it, so heap ordering equals serial
 	// arrival order no matter what order the merge pushes slots in.
@@ -286,47 +289,11 @@ func Run(k *trace.Kernel, opt Options) (*Result, error) {
 	return en.Run(k, opt)
 }
 
-// validateRun performs Run's pre-flight checks on a kernel/options pair.
-func validateRun(k *trace.Kernel, opt Options) error {
-	if opt.Context != nil {
-		if err := opt.Context.Err(); err != nil {
-			return fmt.Errorf("sim: aborted before start: %w", err)
-		}
-	}
-	if err := k.Validate(); err != nil {
-		return err
-	}
-	if err := opt.Config.Validate(); err != nil {
-		return err
-	}
-	for _, cta := range k.CTAs {
-		if len(cta.Warps) > opt.Config.MaxWarpsPerSM {
-			return fmt.Errorf("sim: CTA %d has %d warps, more than %d warp slots per SM",
-				cta.ID, len(cta.Warps), opt.Config.MaxWarpsPerSM)
-		}
-	}
-	return nil
-}
-
-// newEngine constructs a machine and loads a bare kernel as the trivial
-// one-launch App.
-func newEngine(k *trace.Kernel, opt Options) *engine {
-	e := newMachine(opt)
-	e.loadApp(e.singleApp(k))
-	return e
-}
-
-// newEngineApp constructs a machine and loads an application.
-func newEngineApp(a *trace.App, opt Options) *engine {
-	e := newMachine(opt)
-	e.loadApp(a)
-	return e
-}
-
 // newMachine allocates the persistent machine — SM shards, L2 partitions,
 // interconnect, barrier schedule, stat arenas — whose shape depends only on
-// the config. Launch state (kernels, CTA cursors, SM ownership) is installed
-// separately by loadApp and rebuilt on every run.
+// the config — the engine's one constructor. Launch state (kernels, CTA
+// cursors, SM ownership) is installed separately by loadApp and rebuilt on
+// every run.
 func newMachine(opt Options) *engine {
 	cfg := opt.Config
 	e := &engine{
@@ -442,8 +409,8 @@ const deadlockIdleCycles = 1_000_000
 // The serial phase runs a whole epoch ahead of the ticks; that is sound
 // because every tick output is invisible to the serial phase for at least
 // horizon cycles (min cross-boundary latency, config-derived), and every
-// epoch is at most horizon cycles long. With SlackWindow=1 the loop is
-// exactly the seed's per-cycle schedule.
+// epoch is at most horizon cycles long. With a window of 1 the loop is
+// exactly the per-cycle schedule.
 func (e *engine) run() error {
 	if e.opt.Parallelism > 1 {
 		// Persistent crew: created on the first parallel run, parked between

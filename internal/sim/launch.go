@@ -46,20 +46,11 @@ type launchRun struct {
 	acc    stats.Sim // counters attributed to this launch (see claimSMs)
 }
 
-// singleApp wraps a bare kernel as a one-launch App using engine-owned
-// scratch, so the kernel Run path stays allocation-free on reuse.
-func (e *engine) singleApp(k *trace.Kernel) *trace.App {
-	e.oneLaunch[0] = trace.KernelLaunch{Kernel: k}
-	e.oneApp = trace.App{Name: k.Name, Launches: e.oneLaunch[:]}
-	return &e.oneApp
-}
-
 // loadApp installs an application's launch state onto the machine: one
 // launchRun per launch, all SMs released and attribution cleared, then the
 // initial activation wave (every launch with no dependencies whose SM mask is
 // free, in App order).
 func (e *engine) loadApp(a *trace.App) {
-	e.app = a
 	e.launches = e.launches[:0]
 	for i := range a.Launches {
 		l := &a.Launches[i]
@@ -78,10 +69,9 @@ func (e *engine) loadApp(a *trace.App) {
 		e.smBusy[i] = -1
 		e.smAttr[i] = -1
 	}
-	// Initial activations never flush prefetcher state: a fresh machine has
-	// nothing to flush, and a sequence run (prepareKernel) applies its own
-	// ResetPrefetchers policy. ChainPersistence governs scheduler
-	// activations only (applyWakes).
+	// Initial activations never flush prefetcher state: every run starts
+	// from a fresh or freshly reset machine, so there is nothing to flush.
+	// ChainPersistence governs scheduler activations only (applyWakes).
 	e.activateEligible(e.cycle, false)
 }
 
@@ -124,7 +114,7 @@ func (e *engine) maskFree(ln *launchRun) bool {
 // attribution window: each shard's counters accrue to the claiming launch
 // from this snapshot until the next claim of that shard (or end of run).
 // Claims happen only at launch activations — deterministic, epoch-aligned
-// cycles — so attribution is independent of Parallelism and SlackWindow.
+// cycles — so attribution is independent of Parallelism and epoch shape.
 func (e *engine) claimSMs(ln *launchRun, li int) {
 	for _, sh := range ln.shards {
 		id := sh.sm.id
@@ -244,7 +234,7 @@ func (e *engine) moreCTAs() bool {
 // reported a CTA completion. The detection epoch always contains that
 // completion (done() flips only via retireCTA, which sets the shard's ctaMask
 // bit), and shard ticking is bit-identical across epoch shapes, so c* is an
-// absolute cycle independent of Parallelism and SlackWindow.
+// absolute cycle independent of Parallelism and epoch shape.
 func (e *engine) retireScan(start, end int64) {
 	for li := range e.launches {
 		ln := &e.launches[li]

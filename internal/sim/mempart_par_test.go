@@ -37,7 +37,7 @@ func TestMemPartitionCountsL2Outcomes(t *testing.T) {
 // heap and drops the consumed ring prefix.
 func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: parCfg()}.withDefaults())
+	e := newTestEngine(k, Options{Config: parCfg()}.withDefaults())
 
 	line := uint64(0x10000)
 	e.pushReq(10, reqMsg{sm: 0, lineAddr: line})

@@ -93,7 +93,7 @@ func TestMemPartitionMergeWindowCloses(t *testing.T) {
 // FIFO-equals-cycle-order property the parallel executor relies on.
 func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: tinyCfg()}.withDefaults())
+	e := newTestEngine(k, Options{Config: tinyCfg()}.withDefaults())
 
 	lineSz := uint64(e.cfg.Unified.LineSize)
 	push := func(ready int64, sm int, line uint64) {
@@ -161,7 +161,7 @@ func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 // several cycles rather than booking the whole burst in one.
 func TestDrainResponsesSerializesBandwidth(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: tinyCfg()}.withDefaults())
+	e := newTestEngine(k, Options{Config: tinyCfg()}.withDefaults())
 
 	lineSz := e.cfg.Unified.LineSize
 	const burst = 40

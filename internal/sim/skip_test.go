@@ -13,7 +13,7 @@ import (
 func TestSkipFastForwards(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 16}, 4096)
 	opt := Options{Config: tinyCfg()}.withDefaults()
-	e := newEngine(k, opt)
+	e := newTestEngine(k, opt)
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSkipFastForwards(t *testing.T) {
 	// Same kernel with skipping disabled: identical final cycle count and a
 	// zero skip counter.
 	opt.DisableSkip = true
-	d := newEngine(k, opt)
+	d := newTestEngine(k, opt)
 	if err := d.run(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSkipFastForwards(t *testing.T) {
 func TestMissInjectPerSM(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	opt := Options{Config: tinyCfg()}.withDefaults()
-	e := newEngine(k, opt)
+	e := newTestEngine(k, opt)
 	e.net.tick(1)
 	// Queue one more demand miss than the per-cycle injection budget on SM 0
 	// (distinct lines, so no MSHR merging).
@@ -84,7 +84,7 @@ func TestMissInjectPerSM(t *testing.T) {
 func TestDrainStoresCompactsInPlace(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	opt := Options{Config: tinyCfg()}.withDefaults()
-	e := newEngine(k, opt)
+	e := newTestEngine(k, opt)
 
 	const depth = 64
 	// Stage stores through a shard egress and merge at once, as the cycle
@@ -153,7 +153,7 @@ func TestCancellationAcrossSkips(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		ctx := &countdownCtx{Context: context.Background(), ok: 0}
 		opt := Options{Config: tinyCfg(), Context: ctx, DisableSkip: disable}.withDefaults()
-		e := newEngine(k, opt)
+		e := newTestEngine(k, opt)
 		err := e.run()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("DisableSkip=%v: err = %v, want context.Canceled", disable, err)

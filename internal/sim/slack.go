@@ -13,12 +13,9 @@ import (
 // maturing for network injection, freed warp slots redispatching, a
 // successor launch waking). The per-cycle engine replays these the next
 // serial pass; bounded-slack ticking defers them by a constant so that every
-// epoch shape yields the same replay cycle. Earlier revisions tied that
-// constant to the horizon itself (then capped at 8), which meant widening
-// the slack window bought barrier amortization at the price of modeling
-// latency. The turnaround is now min(horizon, TurnaroundCap): identical to
-// the old behaviour at every bound, but pinned — lifting the horizon to the
-// full config bound no longer moves store or re-dispatch timing at all.
+// epoch shape yields the same replay cycle. The turnaround is
+// min(horizon, TurnaroundCap), so the horizon can take the full config bound
+// without moving store or re-dispatch timing.
 const TurnaroundCap = 8
 
 // latencyUnobserved is the sentinel minimum for latency-audit floors that
@@ -37,31 +34,26 @@ type LatencyAudit struct {
 	MinL2Response   int64 // partition arrival → response data ready
 }
 
-// SlackInfo reports the slack parameters a run actually used, so callers see
-// the effective schedule instead of a silently clamped request.
+// SlackInfo reports the slack parameters a run actually used.
 type SlackInfo struct {
 	// Horizon is the config-derived visibility bound (config.SlackBound):
 	// the minimum number of cycles any message needs to cross between the
 	// SM side and the memory side, and therefore the widest admissible
 	// epoch.
 	Horizon int64
-	// Window is the effective epoch-length cap: Options.SlackWindow
-	// resolved into [1, Horizon] (0 or negative selects Horizon).
+	// Window is the effective epoch-length cap: Horizon, unless a package
+	// test narrowed it.
 	Window int64
 	// Turnaround is the store / CTA re-dispatch replay delay,
 	// min(Horizon, TurnaroundCap).
 	Turnaround int64
-	// Requested is Options.SlackWindow as given (≤ 0 means auto).
-	Requested int
-	// Clamped reports that Requested exceeded Horizon and was clamped down.
-	Clamped bool
 	// BindingTerm names the config.SlackAudit term that set Horizon.
 	BindingTerm string
 }
 
 // initSlack derives the engine's slack parameters from the (validated)
 // config and options: horizon from the config alone — the full audit bound,
-// no fixed cap — and slackMax from Options.SlackWindow clamped into
+// no fixed cap — and slackMax from the slackWindow option clamped into
 // [1, horizon]. Epochs may span the whole horizon: the drained-prefetch
 // one-cycle-early stamp that used to force a horizon−1 cap is handled at its
 // source (the serial phase runs the epoch's first prefetch drain itself; see
@@ -78,9 +70,8 @@ func (e *engine) initSlack() {
 	if e.turn > TurnaroundCap {
 		e.turn = TurnaroundCap
 	}
-	w := int64(e.opt.SlackWindow)
-	clamped := w > h
-	if w <= 0 || clamped {
+	w := int64(e.opt.slackWindow)
+	if w <= 0 || w > h {
 		w = h
 	}
 	e.slackMax = w
@@ -88,8 +79,6 @@ func (e *engine) initSlack() {
 		Horizon:     h,
 		Window:      w,
 		Turnaround:  e.turn,
-		Requested:   e.opt.SlackWindow,
-		Clamped:     clamped,
 		BindingTerm: a.Limiting().Name,
 	}
 	e.slackOK = true
@@ -111,7 +100,7 @@ func (e *engine) initSlack() {
 // is on under the race detector and in the sim tests (the equivalence
 // matrices must fail loudly, not quietly fall back to per-cycle barriers)
 // and off in production binaries, where the safe response to the impossible
-// is to keep simulating correctly at SlackWindow=1.
+// is to keep simulating correctly with one-cycle epochs.
 var slackConflictFatal = raceEnabled
 
 // slackConflict handles an event whose replay cycle landed inside its own

@@ -58,7 +58,7 @@ func TestSlackHorizonBoundsObservedLatencies(t *testing.T) {
 			}
 			for mech, pf := range slackMechs() {
 				var a LatencyAudit
-				if _, err := Run(k, Options{Config: cfg, NewPrefetcher: pf, SlackWindow: int(window), LatencyAudit: &a}); err != nil {
+				if _, err := Run(k, Options{Config: cfg, NewPrefetcher: pf, slackWindow: int(window), LatencyAudit: &a}); err != nil {
 					t.Fatalf("%s/%s: %v", name, mech, err)
 				}
 				if a.MinRespDelivery != latencyUnobserved {
@@ -113,7 +113,7 @@ func TestSlackCancellationMidEpoch(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
 	bound := int64(parCfg().SlackBound())
 	for _, window := range []int64{2, bound, bound + 1} {
-		opt := Options{Config: parCfg(), Parallelism: 4, ForceParallelism: true, SlackWindow: int(window)}
+		opt := Options{Config: parCfg(), Parallelism: 4, ForceParallelism: true, slackWindow: int(window)}
 		en := NewEngine()
 		// countdownCtx (skip_test.go) cancels deterministically on the second
 		// poll — a poll site inside an epoch's serial phase, between barriers,
@@ -176,7 +176,7 @@ func TestSlackConflictDegradesInProduction(t *testing.T) {
 // TestInitSlackClamps pins the slack numbers' derivation: the horizon is
 // the full config audit bound (no fixed cap), the turnaround is
 // min(horizon, TurnaroundCap), and the epoch length comes from
-// Options.SlackWindow clamped into [1, horizon] with 0 (and any
+// Options.slackWindow clamped into [1, horizon] with 0 (and any
 // out-of-range request) meaning auto — plus the SlackInfo surfacing of
 // exactly those resolutions.
 func TestInitSlackClamps(t *testing.T) {
@@ -187,40 +187,39 @@ func TestInitSlackClamps(t *testing.T) {
 	}
 	wantTurn := int64(TurnaroundCap)
 	cases := []struct {
-		window  int
-		want    int64
-		clamped bool
+		window int
+		want   int64
 	}{
-		{0, bound, false},
-		{-3, bound, false},
-		{1, 1, false},
-		{2, 2, false},
-		{int(bound / 2), bound / 2, false},
-		{int(bound), bound, false},
-		{int(bound) + 1, bound, true},
-		{1 << 20, bound, true},
+		{0, bound},
+		{-3, bound},
+		{1, 1},
+		{2, 2},
+		{int(bound / 2), bound / 2},
+		{int(bound), bound},
+		{int(bound) + 1, bound},
+		{1 << 20, bound},
 	}
 	for _, c := range cases {
-		e := &engine{cfg: cfg, opt: Options{SlackWindow: c.window}}
+		e := &engine{cfg: cfg, opt: Options{slackWindow: c.window}}
 		e.initSlack()
 		if e.horizon != bound {
-			t.Errorf("SlackWindow=%d: horizon=%d, want the full bound %d", c.window, e.horizon, bound)
+			t.Errorf("slackWindow=%d: horizon=%d, want the full bound %d", c.window, e.horizon, bound)
 		}
 		if e.turn != wantTurn {
-			t.Errorf("SlackWindow=%d: turn=%d, want %d", c.window, e.turn, wantTurn)
+			t.Errorf("slackWindow=%d: turn=%d, want %d", c.window, e.turn, wantTurn)
 		}
 		if e.slackMax != c.want {
-			t.Errorf("SlackWindow=%d: slackMax=%d, want %d", c.window, e.slackMax, c.want)
+			t.Errorf("slackWindow=%d: slackMax=%d, want %d", c.window, e.slackMax, c.want)
 		}
 		if !e.slackOK {
-			t.Errorf("SlackWindow=%d: slackOK not reset", c.window)
+			t.Errorf("slackWindow=%d: slackOK not reset", c.window)
 		}
 		info := SlackInfo{
 			Horizon: bound, Window: c.want, Turnaround: wantTurn,
-			Requested: c.window, Clamped: c.clamped, BindingTerm: cfg.SlackAudit().Limiting().Name,
+			BindingTerm: cfg.SlackAudit().Limiting().Name,
 		}
 		if e.slackInfo != info {
-			t.Errorf("SlackWindow=%d: slackInfo=%+v, want %+v", c.window, e.slackInfo, info)
+			t.Errorf("slackWindow=%d: slackInfo=%+v, want %+v", c.window, e.slackInfo, info)
 		}
 	}
 }
@@ -247,16 +246,16 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 			for _, p := range []int{1, 4} {
 				opt := Options{
 					Config: cfg, Parallelism: p, ForceParallelism: p > 1,
-					SlackWindow: int(window), ChainPersistence: persist,
+					slackWindow: int(window), ChainPersistence: persist,
 				}
-				got, err := RunApp(app, opt)
+				got, err := runApp(app, opt)
 				if err != nil {
 					t.Fatalf("persist=%v w=%d P=%d: %v", persist, window, p, err)
 				}
 				if refApp == nil {
 					ref := opt
-					ref.Parallelism, ref.ForceParallelism, ref.SlackWindow = 1, false, 1
-					if refApp, err = RunApp(app, ref); err != nil {
+					ref.Parallelism, ref.ForceParallelism, ref.slackWindow = 1, false, 1
+					if refApp, err = runApp(app, ref); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -271,13 +270,13 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			got, err := Run(k, Options{
 				Config: cfg, NewPrefetcher: parMechs()["snake"], Parallelism: p,
-				ForceParallelism: p > 1, SlackWindow: int(window),
+				ForceParallelism: p > 1, slackWindow: int(window),
 			})
 			if err != nil {
 				t.Fatalf("w=%d P=%d: %v", window, p, err)
 			}
 			if refK == nil {
-				if refK, err = Run(k, Options{Config: cfg, NewPrefetcher: parMechs()["snake"], SlackWindow: 1}); err != nil {
+				if refK, err = Run(k, Options{Config: cfg, NewPrefetcher: parMechs()["snake"], slackWindow: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -287,8 +286,13 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 			if got.Slack.Horizon != bound || got.Slack.Window < 1 || got.Slack.Window > bound {
 				t.Errorf("w=%d P=%d: Result.Slack = %+v, horizon/window out of range", window, p, got.Slack)
 			}
-			if wantClamp := window > bound; got.Slack.Clamped != wantClamp {
-				t.Errorf("w=%d P=%d: Result.Slack.Clamped = %v, want %v", window, p, got.Slack.Clamped, wantClamp)
+			// Auto and oversized windows resolve to the bound.
+			want := window
+			if want <= 0 || want > bound {
+				want = bound
+			}
+			if got.Slack.Window != want {
+				t.Errorf("w=%d P=%d: Result.Slack.Window = %d, want %d", window, p, got.Slack.Window, want)
 			}
 		}
 	}

@@ -59,6 +59,48 @@ func TestReadRejectsInvalidKernel(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadInstructions: an unknown opcode or a negative
+// latency is refused by Validate and by every JSON reader. Left through, a
+// negative compute latency makes skipping and per-cycle execution disagree
+// (the fast-forward target lands in the past), and an unknown opcode parks
+// its warp forever until the deadlock guard fires.
+func TestValidateRejectsBadInstructions(t *testing.T) {
+	for name, in := range map[string]Inst{
+		"unknown op":             {PC: 0, Op: OpExit + 1},
+		"op 9":                   {PC: 0, Op: 9},
+		"negative compute lat":   {PC: 0, Op: OpCompute, Lat: -1000},
+		"negative load lat":      {PC: 0, Op: OpLoad, Addr: 0x1000, Lat: -1},
+		"unknown op and bad lat": {PC: 0, Op: 200, Lat: -1},
+	} {
+		k := validKernel()
+		w := &k.CTAs[0].Warps[0]
+		w.Insts[0] = in
+		if err := k.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+		var buf bytes.Buffer
+		if err := k.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadJSON(&buf); err == nil {
+			t.Errorf("%s: ReadJSON accepted", name)
+		}
+		buf.Reset()
+		if err := SingleLaunch(k).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadAppJSON(&buf); err == nil {
+			t.Errorf("%s: ReadAppJSON accepted", name)
+		}
+	}
+	// Zero latency is legal: a zero-cost compute still takes its issue cycle.
+	k := validKernel()
+	k.CTAs[0].Warps[0].Insts[0] = Inst{PC: 0, Op: OpCompute, Lat: 0}
+	if err := k.Validate(); err != nil {
+		t.Errorf("zero-latency compute rejected: %v", err)
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	k := validKernel()
 	dir := t.TempDir()

@@ -106,7 +106,8 @@ type Kernel struct {
 }
 
 // Validate checks structural invariants of the kernel: non-empty, warps end
-// with OpExit, and per-CTA warp IDs are dense.
+// with OpExit (and only there), per-CTA warp IDs are dense, and every
+// instruction has a known opcode and a non-negative latency.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return errors.New("trace: kernel has no name")
@@ -128,8 +129,13 @@ func (k *Kernel) Validate() error {
 			if last := w.Insts[len(w.Insts)-1]; last.Op != OpExit {
 				return fmt.Errorf("trace: kernel %q CTA %d warp %d does not end with exit", k.Name, ci, wi)
 			}
-			for ii, in := range w.Insts[:len(w.Insts)-1] {
-				if in.Op == OpExit {
+			for ii, in := range w.Insts {
+				switch {
+				case in.Op > OpExit:
+					return fmt.Errorf("trace: kernel %q CTA %d warp %d inst %d has unknown %v", k.Name, ci, wi, ii, in.Op)
+				case in.Lat < 0:
+					return fmt.Errorf("trace: kernel %q CTA %d warp %d inst %d has negative latency %d", k.Name, ci, wi, ii, in.Lat)
+				case in.Op == OpExit && ii < len(w.Insts)-1:
 					return fmt.Errorf("trace: kernel %q CTA %d warp %d has interior exit at %d", k.Name, ci, wi, ii)
 				}
 			}
