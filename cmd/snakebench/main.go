@@ -31,10 +31,9 @@ func main() {
 		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
 		format     = flag.String("format", "text", "output format: text, csv, json")
 		simJSON    = flag.Bool("json", false, "run the simulator throughput benchmark and write BENCH_sim.json")
-		phases     = flag.Bool("phases", false, "report the engine's per-phase wall clock and serial share (honors -parallel)")
+		phases     = flag.Bool("phases", false, "report the engine's per-phase wall clock and serial share at 1 and 4 shard workers")
 		jsonOut    = flag.String("json-out", "BENCH_sim.json", "output path for -json")
 		baseline   = flag.String("baseline", "", "with -json: committed BENCH_sim.json to guard against throughput regressions (>20% fails)")
-		parallel   = flag.Int("parallel", 1, "SM-shard workers per experiment run (same results at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -60,7 +59,7 @@ func main() {
 		return
 	}
 	if *phases {
-		if err := reportPhases(*parallel); err != nil {
+		if err := reportPhases(); err != nil {
 			fmt.Fprintln(os.Stderr, "snakebench:", err)
 			os.Exit(1)
 		}
@@ -76,7 +75,6 @@ func main() {
 	}
 
 	r := newRunner(*sms, *warps, *ctas, *iters)
-	r.Parallelism = *parallel
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		e, ok := harness.Experiments[id]

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -92,11 +93,11 @@ type simBenchFile struct {
 // simBenchCase is one measured configuration. Skip cases run the standard
 // 4×64 experiment machine; parallel cases run a medium-scale 8-SM machine
 // (more CTAs, wider GPU) where per-cycle shard work is large enough for the
-// barrier overhead to amortize — the configuration the -parallel flag
-// targets in practice. Reuse cases re-run their base case on a persistent
-// warmed sim.Engine, the steady-state shape of sweep traffic through the
-// harness engine pool: their allocs/op and bytes/op measure only the per-run
-// residual, not arena construction. App cases time Engine.RunApp on a whole
+// barrier overhead to amortize — the shape of one wide run, the only case
+// Options.Parallelism targets. Reuse cases re-run their base case on a
+// persistent warmed sim.Engine, the steady-state shape of sweep traffic
+// through the harness engine pool: their allocs/op and bytes/op measure only
+// the per-run residual, not arena construction. App cases time Engine.RunApp on a whole
 // launch graph — the multi-kernel case exercises the launch scheduler plus
 // cross-launch chain persistence, the co-tenant case exercises partitioned
 // concurrent launches — so launch-layer overhead shows up as its own row
@@ -152,11 +153,41 @@ func caseSetup(c simBenchCase) (*trace.Kernel, config.GPU, error) {
 	return k, config.Scaled(4, 64), err
 }
 
-// writeSimBench measures simulator throughput and writes path. When
-// baselinePath is non-empty, the new numbers are also checked against the
-// committed baseline and an error is returned if any case's throughput
-// dropped by more than regressionTolerance.
+// writeSimBench measures every case, writes path, and only then evaluates
+// the gates (gateSimBench), so one failing row never hides the rows after it
+// or the file. When baselinePath is non-empty the baseline regression checks
+// run too.
 func writeSimBench(path, baselinePath string) error {
+	out, err := measureSimBench()
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "snakebench: wrote %s\n", path)
+	return gateSimBench(out, baselinePath)
+}
+
+// gateSimBench evaluates every gate on a measured file — the absolute
+// route+merge ceiling, parallel allocation flatness and, with a baseline,
+// the regression checks — and reports all failures joined.
+func gateSimBench(out simBenchFile, baselinePath string) error {
+	errs := []error{checkRouteMergeShare(out), checkParallelAllocsFlat(out.Entries)}
+	if baselinePath != "" {
+		errs = append(errs, checkRegression(baselinePath, out))
+	}
+	return errors.Join(errs...)
+}
+
+// measureSimBench times every case in simBenchCases and profiles the
+// parallel ones.
+func measureSimBench() (simBenchFile, error) {
 	out := simBenchFile{
 		GeneratedAt:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:         runtime.Version(),
@@ -174,7 +205,7 @@ func writeSimBench(path, baselinePath string) error {
 		if c.app {
 			e, err := measureAppCase(c)
 			if err != nil {
-				return err
+				return out, err
 			}
 			out.Entries = append(out.Entries, e)
 			nsPerOp[c.name] = e.NsPerOp
@@ -184,7 +215,7 @@ func writeSimBench(path, baselinePath string) error {
 		}
 		k, cfg, err := caseSetup(c)
 		if err != nil {
-			return err
+			return out, err
 		}
 		opt := sim.Options{
 			Config:        cfg,
@@ -204,7 +235,7 @@ func writeSimBench(path, baselinePath string) error {
 			opt.PrefetcherTag = "snake"
 			en := sim.NewEngine()
 			if _, err := en.Run(k, opt); err != nil {
-				return err
+				return out, err
 			}
 			r = testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
@@ -253,7 +284,7 @@ func writeSimBench(path, baselinePath string) error {
 			// identically to their fresh siblings, so they are skipped.
 			prof, profCycles, err := measurePhases(k, cfg, c.parallelism)
 			if err != nil {
-				return err
+				return out, err
 			}
 			out.PhaseNs[c.name] = prof.Map()
 			out.SerialShare[c.name] = prof.SerialShare()
@@ -261,10 +292,6 @@ func writeSimBench(path, baselinePath string) error {
 			out.MergeShare[c.name] = prof.MergeShare()
 			if profCycles > 0 {
 				out.BarriersPerKcycle[c.name] = 1000 * float64(prof.Barriers()) / float64(profCycles)
-			}
-			if rm := out.RouteShare[c.name] + out.MergeShare[c.name]; c.parallelism > 1 && !e.BarrierOverheadOnly && rm > routeMergeShareMax {
-				return fmt.Errorf("snakebench: %s route+merge share %.3f (route %.3f, merge %.3f) exceeds %.2f: the per-epoch route/merge passes must stay noise-level",
-					c.name, rm, out.RouteShare[c.name], out.MergeShare[c.name], routeMergeShareMax)
 			}
 		}
 	}
@@ -287,22 +314,7 @@ func writeSimBench(path, baselinePath string) error {
 			out.ParallelSpeedup[c.name] = float64(serial) / float64(nsPerOp[c.name])
 		}
 	}
-	if err := checkParallelAllocsFlat(out.Entries); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "snakebench: wrote %s\n", path)
-	if baselinePath != "" {
-		return checkRegression(baselinePath, out)
-	}
-	return nil
+	return out, nil
 }
 
 // measureAppCase times a fresh engine's RunApp on one application launch
@@ -358,17 +370,37 @@ func measureAppCase(c simBenchCase) (simBenchEntry, error) {
 // via SerialShare.)
 const routeMergeShareMax = 0.06
 
+// checkRouteMergeShare applies routeMergeShareMax to every profiled,
+// genuinely parallel row and joins all violations.
+func checkRouteMergeShare(out simBenchFile) error {
+	var errs []error
+	for _, e := range out.Entries {
+		route, ok := out.RouteShare[e.Name]
+		if !ok || e.Parallelism <= 1 || e.BarrierOverheadOnly {
+			continue
+		}
+		merge := out.MergeShare[e.Name]
+		if rm := route + merge; rm > routeMergeShareMax {
+			errs = append(errs, fmt.Errorf("%s route+merge share %.3f (route %.3f, merge %.3f) exceeds %.2f: the per-epoch route/merge passes must stay noise-level",
+				e.Name, rm, route, merge, routeMergeShareMax))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // checkParallelAllocsFlat is the allocation-flat parallel-mode gate: each
 // pooled parN row must allocate within allocRegressionTolerance of its par1
 // sibling (plus the small-count floor), on every bench run — allocation
 // counts are deterministic, so this needs no committed baseline. A parallel
 // pooled run that allocates beyond the serial steady state means some arena
-// (routed slab, due views, scatter scratch, crew) stopped recycling.
+// (routed slab, due views, scatter scratch, crew) stopped recycling. All
+// violating rows are reported, joined.
 func checkParallelAllocsFlat(entries []simBenchEntry) error {
 	byName := make(map[string]simBenchEntry, len(entries))
 	for _, e := range entries {
 		byName[e.Name] = e
 	}
+	var errs []error
 	for _, e := range entries {
 		if !e.Reuse || e.Parallelism <= 1 {
 			continue
@@ -379,11 +411,11 @@ func checkParallelAllocsFlat(entries []simBenchEntry) error {
 		}
 		if e.AllocsPerOp > allocFloor &&
 			float64(e.AllocsPerOp) > float64(serial.AllocsPerOp)*allocRegressionTolerance {
-			return fmt.Errorf("snakebench: %s allocates %d/op vs %s's %d/op: parallel pooled runs must stay allocation-flat (tolerance %.2fx)",
-				e.Name, e.AllocsPerOp, serial.Name, serial.AllocsPerOp, allocRegressionTolerance)
+			errs = append(errs, fmt.Errorf("%s allocates %d/op vs %s's %d/op: parallel pooled runs must stay allocation-flat (tolerance %.2fx)",
+				e.Name, e.AllocsPerOp, serial.Name, serial.AllocsPerOp, allocRegressionTolerance))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // measurePhases runs the kernel once with a phase accumulator attached and
@@ -408,19 +440,15 @@ func measurePhases(k *trace.Kernel, cfg config.GPU, parallelism int) (*profiling
 }
 
 // reportPhases implements snakebench -phases: per-phase engine wall clock
-// and serial share for the parallel benchmark cases, at serial execution and
-// at the requested parallelism. This is the Amdahl report: the drain, route
-// and merge columns are the part of the cycle no amount of -parallel can
-// compress, and the share column is their fraction of the total — with route%
+// and serial share for the parallel benchmark cases, at Parallelism 1 and 4.
+// This is the Amdahl report: the drain, route and merge columns are the part
+// of the cycle no number of workers can compress, and the share column is their fraction of the total — with route%
 // and merge% broken out so each serial phase's trajectory is visible on its
 // own (their sum must stay noise-level; see routeMergeShareMax). The barriers and
 // cyc/barrier columns show how well bounded-slack ticking amortizes the wave
 // barrier (cyc/barrier counts only ticked cycles, so skipped spans do not
 // inflate it).
-func reportPhases(parallel int) error {
-	if parallel <= 1 {
-		parallel = 4
-	}
+func reportPhases() error {
 	fmt.Printf("%-6s %3s %12s %10s %12s %12s %10s %12s %8s %8s %8s %10s %12s\n",
 		"bench", "P", "drain", "route", "partitions", "shards", "merge", "total", "share", "route%", "merge%", "barriers", "cyc/barrier")
 	for _, bench := range []string{"lps", "mum", "nw"} {
@@ -429,7 +457,7 @@ func reportPhases(parallel int) error {
 			return err
 		}
 		cfg := config.Scaled(8, 48)
-		for _, p := range []int{1, parallel} {
+		for _, p := range []int{1, 4} {
 			prof, _, err := measurePhases(k, cfg, p)
 			if err != nil {
 				return err
@@ -580,10 +608,8 @@ func checkRegression(baselinePath string, fresh simBenchFile) error {
 		}
 	}
 	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "snakebench: REGRESSION "+r)
-		}
-		return fmt.Errorf("performance regressed on %d case(s) vs %s", len(regressions), baselinePath)
+		return fmt.Errorf("performance regressed on %d case(s) vs %s:\n  %s",
+			len(regressions), baselinePath, strings.Join(regressions, "\n  "))
 	}
 	fmt.Fprintf(os.Stderr, "snakebench: no regressions vs %s\n", baselinePath)
 	return nil

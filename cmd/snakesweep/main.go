@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +77,6 @@ func main() {
 		app        = flag.String("app", "", "application workload for run-shape knobs (chainpersist, tenant0sms)")
 		format     = flag.String("format", "text", "output format: text, csv, json")
 		lk         = flag.Bool("listknobs", false, "list sweepable knobs")
-		parallel   = flag.Int("parallel", 1, "parallel workers per run (same results at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -110,7 +110,6 @@ func main() {
 	}
 
 	r := harness.NewRunner()
-	r.Parallelism = *parallel
 	if shapeKnob {
 		if *app == "" {
 			fatal(fmt.Errorf("knob %q shapes the launch schedule and needs -app (see -listknobs)", *knob))
@@ -128,24 +127,36 @@ func main() {
 		Title:   fmt.Sprintf("Snake sensitivity to %s (means over %d benchmarks)", *knob, len(benches)),
 		Columns: []string{*knob, "ipc-vs-base", "coverage", "accuracy"},
 	}
+	// Every cell runs concurrently, one serial run per CPU-budget slot; the
+	// rows below read the memoized results.
+	if err := r.Prefill(benches, []string{"baseline"}); err != nil {
+		fatal(err)
+	}
+	var cells []harness.Variant
 	for _, v := range vals {
 		cfg := core.Defaults()
 		set(&cfg, v)
-		var ipc, cov, acc float64
 		for _, b := range benches {
+			cells = append(cells, harness.Variant{Bench: b, Key: fmt.Sprintf("sweep-%s-%d", *knob, v), Cfg: cfg})
+		}
+	}
+	sts, err := r.RunVariants(context.Background(), cells)
+	if err != nil {
+		fatal(err)
+	}
+	n := float64(len(benches))
+	for i, v := range vals {
+		var ipc, cov, acc float64
+		for j, b := range benches {
 			base, err := r.Run(b, "baseline")
 			if err != nil {
 				fatal(err)
 			}
-			st, err := r.SnakeVariant(b, fmt.Sprintf("sweep-%s-%d", *knob, v), cfg)
-			if err != nil {
-				fatal(err)
-			}
+			st := sts[i*len(benches)+j]
 			ipc += st.IPC() / base.IPC()
 			cov += st.Coverage()
 			acc += st.Accuracy()
 		}
-		n := float64(len(benches))
 		t.AddRow(strconv.Itoa(v), ipc/n, cov/n, acc/n)
 	}
 	if err := t.Write(os.Stdout, *format); err != nil {

@@ -10,13 +10,10 @@ import (
 // runs simulations — the harness runner's worker pool and the snaked
 // service's job workers — draws from one shared Budget, so the number of
 // busy simulation threads never exceeds the machine, no matter how the two
-// pools are configured. (Previously each pool was sized to GOMAXPROCS
-// independently, so a service running sweeps through a Runner could
-// oversubscribe the host by GOMAXPROCS².)
-//
-// A run that simulates with sim.Options.Parallelism = p holds p slots for
-// its duration: intra-run parallelism and cross-run concurrency spend the
-// same currency.
+// pools are configured. Runners and the service tick serially and hold one
+// slot per run; a caller that runs one wide simulation with
+// sim.Options.Parallelism = p holds p slots for its duration, so intra-run
+// workers and concurrent runs spend the same currency.
 type Budget struct {
 	mu      sync.Mutex
 	cap     int

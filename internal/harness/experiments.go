@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"snake/internal/chains"
@@ -278,50 +279,24 @@ func (r *Runner) tailSweep(id, title string, lru bool, note string) (*Table, err
 		cols = append(cols, fmt.Sprintf("entries=%d", n))
 	}
 	t := &Table{ID: id, Title: title, Columns: cols, Note: note}
-	type cell struct {
-		b, key string
-		cfg    core.Config
-	}
-	var cells []cell
+	var cells []Variant
 	for _, b := range benchList() {
 		for _, n := range tailSweepSizes {
 			cfg := core.Defaults()
 			cfg.TailEntries = n
 			cfg.EvictPopcountOnly = !lru
-			cells = append(cells, cell{b, fmt.Sprintf("%s-e%d-lru%v", id, n, lru), cfg})
+			cells = append(cells, Variant{b, fmt.Sprintf("%s-e%d-lru%v", id, n, lru), cfg})
 		}
 	}
-	// Prefill concurrently.
-	errs := make(chan error, len(cells))
-	done := make(chan struct{}, len(cells))
-	for _, c := range cells {
-		go func(c cell) {
-			_, err := r.SnakeVariant(c.b, c.key, c.cfg)
-			if err != nil {
-				errs <- err
-			}
-			done <- struct{}{}
-		}(c)
-	}
-	for range cells {
-		<-done
-	}
-	select {
-	case err := <-errs:
+	sts, err := r.RunVariants(context.Background(), cells)
+	if err != nil {
 		return nil, err
-	default:
 	}
-	for _, b := range benchList() {
-		vals := make([]float64, len(tailSweepSizes))
-		for i, n := range tailSweepSizes {
-			cfg := core.Defaults()
-			cfg.TailEntries = n
-			cfg.EvictPopcountOnly = !lru
-			st, err := r.SnakeVariant(b, fmt.Sprintf("%s-e%d-lru%v", id, n, lru), cfg)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = st.Coverage()
+	for i, b := range benchList() {
+		row := sts[i*len(tailSweepSizes) : (i+1)*len(tailSweepSizes)]
+		vals := make([]float64, len(row))
+		for j, st := range row {
+			vals[j] = st.Coverage()
 		}
 		t.AddRow(b, vals...)
 	}
@@ -351,19 +326,26 @@ func Fig23(r *Runner) (*Table, error) {
 	t := &Table{ID: "fig23", Title: "Accuracy & coverage vs throttle interval (mean over benchmarks)",
 		Columns: []string{"interval", "accuracy", "coverage"},
 		Note:    "paper: 50 cycles gives ~75% accuracy at only ~2% coverage loss"}
+	benches := benchList()
+	var cells []Variant
 	for _, iv := range throttleIntervals {
 		cfg := core.Defaults()
 		cfg.ThrottleCycles = iv
+		for _, b := range benches {
+			cells = append(cells, Variant{b, fmt.Sprintf("fig23-%d", iv), cfg})
+		}
+	}
+	sts, err := r.RunVariants(context.Background(), cells)
+	if err != nil {
+		return nil, err
+	}
+	n := float64(len(benches))
+	for i, iv := range throttleIntervals {
 		var acc, cov float64
-		for _, b := range benchList() {
-			st, err := r.SnakeVariant(b, fmt.Sprintf("fig23-%d", iv), cfg)
-			if err != nil {
-				return nil, err
-			}
+		for _, st := range sts[i*len(benches) : (i+1)*len(benches)] {
 			acc += st.Accuracy()
 			cov += st.Coverage()
 		}
-		n := float64(len(benchList()))
 		t.AddRow(fmt.Sprintf("%d", iv), acc/n, cov/n)
 	}
 	return t, nil

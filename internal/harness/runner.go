@@ -20,17 +20,14 @@ import (
 // bounded worker pool, since the figure experiments share most of their
 // underlying runs (e.g. Figures 16–19 all read the same eleven×ten grid).
 //
-// Successful runs are memoized forever (the simulations are deterministic,
-// and sim.Options.Parallelism does not change results, so the cache is keyed
-// without it); failed runs are never cached, so callers can retry transient
-// failures such as context cancellation.
+// Successful runs are memoized forever (the simulations are deterministic);
+// failed runs are never cached, so callers can retry transient failures
+// such as context cancellation. Each run ticks serially on one Budget slot:
+// a sweep has other runs to fill the cores with, and runs in parallel
+// across them (Prefill, RunVariants).
 type Runner struct {
 	Cfg   config.GPU
 	Scale workloads.Scale
-	// Parallelism is the sim.Options.Parallelism for each run (default 1).
-	// Each running simulation holds that many Budget slots, so concurrency ×
-	// parallelism never exceeds the budget.
-	Parallelism int
 	// Split is the tenant-0 SM share for application runs that partition the
 	// machine (0: an even halving). It shapes the assembled app's SM masks
 	// and therefore participates in keys via the app's content digest.
@@ -120,8 +117,27 @@ func (r *Runner) runKernel(k *trace.Kernel, key, mech string) (*stats.Sim, error
 }
 
 func (r *Runner) run(ctx context.Context, key, label, mech string, factory Factory, build func() (*trace.Kernel, error)) (*stats.Sim, error) {
+	// Registry mechanisms carry their name as the engine-pool reuse tag so
+	// back-to-back runs of one mechanism recycle prefetcher state too; custom
+	// factories get the empty tag (their mech labels, e.g. "snake:"+key, are
+	// only unique within one runner's cache, not across the shared pool).
+	tag := mech
+	if factory != nil {
+		tag = ""
+	}
 	res, err := r.memoize(ctx, key, func(res *runResult) {
-		r.execute(ctx, res, label, mech, factory, build)
+		r.execute(ctx, res, mech, factory, func(opt sim.Options) error {
+			k, err := build()
+			if err != nil {
+				return err
+			}
+			out, err := r.engines().Run(k, opt, tag)
+			if err != nil {
+				return fmt.Errorf("%s: %w", label, err)
+			}
+			res.st = &out.Stats
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -171,51 +187,32 @@ func (r *Runner) memoize(ctx context.Context, key string, fill func(*runResult))
 	}
 }
 
-// execute performs the simulation for one cache entry. It draws Parallelism
-// slots from the CPU budget for the run's duration, so the runner's
-// concurrent callers and the run's internal workers spend the same slots.
-func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string, factory Factory, build func() (*trace.Kernel, error)) {
+// execute fills one cache entry: it holds one CPU-budget slot for the run's
+// duration (runs are serial; a runner's parallelism is its concurrent
+// callers), resolves the prefetcher factory — mech from the registry when
+// factory is nil — and hands simulate the runner's options.
+func (r *Runner) execute(ctx context.Context, res *runResult, mech string, factory Factory, simulate func(sim.Options) error) {
 	budget := r.Budget
 	if budget == nil {
 		budget = SharedBudget()
 	}
-	granted, err := budget.Acquire(ctx, max(r.Parallelism, 1))
-	if err != nil {
+	if _, err := budget.Acquire(ctx, 1); err != nil {
 		res.err = err
 		return
 	}
-	defer budget.Release(granted)
+	defer budget.Release(1)
 	f := factory
 	if f == nil {
 		if f, res.err = Mechanism(mech); res.err != nil {
 			return
 		}
 	}
-	k, err := build()
-	if err != nil {
-		res.err = err
-		return
-	}
-	// Registry mechanisms carry their name as the engine-pool reuse tag so
-	// back-to-back runs of one mechanism recycle prefetcher state too; custom
-	// factories get the empty tag (their mech labels, e.g. "snake:"+key, are
-	// only unique within one runner's cache, not across the shared pool).
-	tag := mech
-	if factory != nil {
-		tag = ""
-	}
-	out, err := r.engines().Run(k, sim.Options{
+	res.err = simulate(sim.Options{
 		Config:        r.Cfg,
 		NewPrefetcher: f,
 		Context:       ctx,
-		Parallelism:   granted,
 		PhaseProfile:  r.PhaseProfile,
-	}, tag)
-	if err != nil {
-		res.err = fmt.Errorf("%s: %w", label, err)
-		return
-	}
-	res.st = &out.Stats
+	})
 }
 
 // store returns the runner's kernel store (the process-wide one when unset).
@@ -243,26 +240,53 @@ func (r *Runner) Prefill(benches, mechs []string) error {
 // PrefillCtx is Prefill with cancellation. All cells are attempted; every
 // failure is reported via errors.Join rather than only the first.
 func (r *Runner) PrefillCtx(ctx context.Context, benches, mechs []string) error {
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(benches)*len(mechs))
-	for _, b := range benches {
-		for _, m := range mechs {
-			wg.Add(1)
-			go func(b, m string) {
-				defer wg.Done()
-				if _, err := r.RunCtx(ctx, b, m); err != nil {
-					errCh <- fmt.Errorf("%s/%s: %w", b, m, err)
-				}
-			}(b, m)
+	return fillAll(len(benches)*len(mechs), func(i int) error {
+		b, m := benches[i/len(mechs)], mechs[i%len(mechs)]
+		if _, err := r.RunCtx(ctx, b, m); err != nil {
+			return fmt.Errorf("%s/%s: %w", b, m, err)
 		}
+		return nil
+	})
+}
+
+// fillAll calls run(i) for every i in [0, n) concurrently — each run holds
+// its own budget slot, so the budget, not n, bounds CPU use — waits for all
+// of them, and joins every failure in index order.
+func fillAll(n int, run func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(i)
+		}()
 	}
 	wg.Wait()
-	close(errCh)
-	var errs []error
-	for err := range errCh {
-		errs = append(errs, err)
-	}
 	return errors.Join(errs...)
+}
+
+// Variant is one custom Snake configuration run: the benchmark, the
+// memoization key naming the configuration, and the configuration itself.
+type Variant struct {
+	Bench, Key string
+	Cfg        core.Config
+}
+
+// RunVariants runs the variant cells concurrently as memoized SnakeVariant
+// runs and returns their statistics in cell order — the fill behind every
+// parameter sweep. All cells are attempted; failures are joined.
+func (r *Runner) RunVariants(ctx context.Context, cells []Variant) ([]*stats.Sim, error) {
+	out := make([]*stats.Sim, len(cells))
+	err := fillAll(len(cells), func(i int) (err error) {
+		c := cells[i]
+		out[i], err = r.SnakeVariantCtx(ctx, c.Bench, c.Key, c.Cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SnakeVariant builds a memoized custom Snake configuration run.
@@ -308,45 +332,18 @@ func (r *Runner) RunAppCtx(ctx context.Context, app, mech string, chain bool) (*
 		return nil, err
 	}
 	res, err := r.memoize(ctx, key.Hash(), func(res *runResult) {
-		r.executeApp(ctx, res, app+"|"+mech, mech, chain, a)
+		r.execute(ctx, res, mech, nil, func(opt sim.Options) error {
+			opt.ChainPersistence = chain
+			out, err := r.engines().RunApp(a, opt, mech)
+			if err != nil {
+				return fmt.Errorf("%s|%s: %w", app, mech, err)
+			}
+			res.app, res.st = out, &out.Stats
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res.app, nil
-}
-
-// executeApp is execute's application counterpart: same budget discipline,
-// same engine pool (apps and kernels recycle each other's machines), plus
-// the chain-persistence policy.
-func (r *Runner) executeApp(ctx context.Context, res *runResult, label, mech string, chain bool, a *trace.App) {
-	budget := r.Budget
-	if budget == nil {
-		budget = SharedBudget()
-	}
-	granted, err := budget.Acquire(ctx, max(r.Parallelism, 1))
-	if err != nil {
-		res.err = err
-		return
-	}
-	defer budget.Release(granted)
-	f, err := Mechanism(mech)
-	if err != nil {
-		res.err = err
-		return
-	}
-	out, err := r.engines().RunApp(a, sim.Options{
-		Config:           r.Cfg,
-		NewPrefetcher:    f,
-		Context:          ctx,
-		Parallelism:      granted,
-		ChainPersistence: chain,
-		PhaseProfile:     r.PhaseProfile,
-	}, mech)
-	if err != nil {
-		res.err = fmt.Errorf("%s: %w", label, err)
-		return
-	}
-	res.app = out
-	res.st = &out.Stats
 }

@@ -29,9 +29,6 @@ type Options struct {
 	GPU *config.GPU
 	// Scale is the default workload scale (default: DefaultScale).
 	Scale *workloads.Scale
-	// Parallelism is the default per-run SM-shard worker count for jobs that
-	// do not request one (default 1).
-	Parallelism int
 	// Budget is the CPU-slot budget simulations draw from (default: the
 	// process-wide harness.SharedBudget, shared with any harness.Runner in
 	// the same process so the two pools cannot oversubscribe the host
@@ -72,15 +69,14 @@ var ErrDraining = errors.New("service: shutting down")
 // Service is the snaked core: job registry, priority queue, worker pool,
 // result cache, and metrics. Wrap Handler in an http.Server to expose it.
 type Service struct {
-	gpu         config.GPU
-	scale       workloads.Scale
-	parallelism int
-	workers     int
-	budget      *harness.Budget
-	queue       *jobQueue
-	store       *cluster.Store
-	clu         *cluster.Cluster // nil when standalone
-	metrics     *metrics
+	gpu     config.GPU
+	scale   workloads.Scale
+	workers int
+	budget  *harness.Budget
+	queue   *jobQueue
+	store   *cluster.Store
+	clu     *cluster.Cluster // nil when standalone
+	metrics *metrics
 
 	// peerSlots is the reserved capacity for forwarded-in peer work, sized
 	// like the worker pool but separate from it. Workers may block forwarding
@@ -139,30 +135,26 @@ func New(opt Options) *Service {
 	if opt.Scale != nil {
 		scale = *opt.Scale
 	}
-	if opt.Parallelism < 1 {
-		opt.Parallelism = 1
-	}
 	if opt.Budget == nil {
 		opt.Budget = harness.SharedBudget()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		gpu:         gpu,
-		scale:       scale,
-		parallelism: opt.Parallelism,
-		workers:     opt.Workers,
-		budget:      opt.Budget,
-		queue:       newJobQueue(opt.QueueMax),
-		store:       cluster.NewStore(cluster.StoreOptions{MaxBytes: opt.CacheMaxBytes, Dir: opt.CacheDir}),
-		metrics:     newMetrics(),
-		peerSlots:   make(chan struct{}, opt.Workers),
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		jobs:        make(map[string]*job),
-		sweeps:      make(map[string]*sweep),
-		flight:      make(map[string]chan struct{}),
-		benchSet:    make(map[string]bool),
-		appSet:      make(map[string]bool),
+		gpu:        gpu,
+		scale:      scale,
+		workers:    opt.Workers,
+		budget:     opt.Budget,
+		queue:      newJobQueue(opt.QueueMax),
+		store:      cluster.NewStore(cluster.StoreOptions{MaxBytes: opt.CacheMaxBytes, Dir: opt.CacheDir}),
+		metrics:    newMetrics(),
+		peerSlots:  make(chan struct{}, opt.Workers),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		jobs:       make(map[string]*job),
+		sweeps:     make(map[string]*sweep),
+		flight:     make(map[string]chan struct{}),
+		benchSet:   make(map[string]bool),
+		appSet:     make(map[string]bool),
 	}
 	if len(opt.Peers) > 0 && opt.Self != "" {
 		s.clu = cluster.New(cluster.Options{
@@ -263,13 +255,6 @@ func (s *Service) normalize(req RunRequest) (spec, error) {
 		return spec{}, errors.New("timeout_ms must be non-negative")
 	}
 	sp.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	if req.Parallelism < 0 {
-		return spec{}, errors.New("parallelism must be non-negative")
-	}
-	sp.parallelism = req.Parallelism
-	if sp.parallelism == 0 {
-		sp.parallelism = s.parallelism
-	}
 	if sp.app != "" {
 		// Intern the app now (for the resolved machine and scale) so
 		// ill-partitioned requests fail at submission and the content digest
@@ -374,7 +359,6 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 		r.Snake = req.Snake
 		r.GPU, r.Scale = req.GPU, req.Scale
 		r.Priority, r.TimeoutMS = req.Priority, req.TimeoutMS
-		r.Parallelism = req.Parallelism
 		sp, err := s.normalize(r)
 		if err != nil {
 			return err

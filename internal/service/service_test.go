@@ -411,9 +411,8 @@ func TestSubmitValidation(t *testing.T) {
 	}()
 
 	for name, req := range map[string]RunRequest{
-		"unknown bench":        {Bench: "nope", Mech: "baseline"},
-		"unknown mech":         {Bench: "lps", Mech: "nope"},
-		"negative parallelism": {Bench: "lps", Mech: "baseline", Parallelism: -1},
+		"unknown bench": {Bench: "nope", Mech: "baseline"},
+		"unknown mech":  {Bench: "lps", Mech: "nope"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/runs", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -431,10 +430,12 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSlackFieldRejected pins the removal of the per-request epoch-window
-// knob: results never depended on it, and a request still carrying "slack"
-// is refused as an unknown field rather than silently ignored.
-func TestSlackFieldRejected(t *testing.T) {
+// TestRemovedFieldsRejected pins the removal of the per-request execution
+// knobs: results never depended on the epoch window ("slack") or on
+// intra-run parallelism ("parallelism"), and a run or sweep request still
+// carrying either is refused as an unknown field rather than silently
+// ignored.
+func TestRemovedFieldsRejected(t *testing.T) {
 	svc := tinyService(1)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -443,47 +444,23 @@ func TestSlackFieldRejected(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	}()
-	for path, body := range map[string]string{
-		"/v1/runs":   `{"bench":"lps","mech":"baseline","slack":4}`,
-		"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],"slack":4}`,
-	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	for _, field := range []string{"slack", "parallelism"} {
+		for _, tc := range []struct{ name, path, body string }{
+			{"runs", "/v1/runs", `{"bench":"lps","mech":"baseline","%s":4}`},
+			{"sweeps", "/v1/sweeps", `{"benches":["lps"],"mechs":["baseline"],"%s":4}`},
+		} {
+			t.Run(field+"_"+tc.name, func(t *testing.T) {
+				body := fmt.Sprintf(tc.body, field)
+				resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
+					t.Errorf("%s with %s: %d %s, want 400 naming the field", tc.path, field, resp.StatusCode, msg)
+				}
+			})
 		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "slack") {
-			t.Errorf("%s with slack: %d %s, want 400 naming the field", path, resp.StatusCode, msg)
-		}
-	}
-}
-
-// TestNormalizeParallelismDefaults pins the local-resource knob plumbing: a
-// request's 0 means "server default", explicit values pass through, and the
-// knob never reaches the content address (covered by the spec field being
-// outside the RunKey — see keyOf).
-func TestNormalizeParallelismDefaults(t *testing.T) {
-	gpu := config.Scaled(2, 16)
-	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
-	svc := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, Parallelism: 2})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = svc.Shutdown(ctx)
-	}()
-	sp, err := svc.normalize(RunRequest{Bench: "lps", Mech: "baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.parallelism != 2 {
-		t.Errorf("default: parallelism=%d, want 2", sp.parallelism)
-	}
-	sp, err = svc.normalize(RunRequest{Bench: "lps", Mech: "baseline", Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.parallelism != 1 {
-		t.Errorf("explicit: parallelism=%d, want 1", sp.parallelism)
 	}
 }

@@ -62,28 +62,21 @@ type RunRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// TimeoutMS bounds the simulation wall clock; 0 means no limit.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallelism is the per-run SM-shard worker count (sim.Options
-	// .Parallelism): 0 uses the server default. Results are bit-identical at
-	// every value; the slots are drawn from the server's shared CPU budget,
-	// so a wide run trades against job concurrency rather than
-	// oversubscribing the host.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // SweepRequest submits the cross product of (benches ∪ apps) × mechs as one
 // sweep. Chain and Split apply to the app cells only.
 type SweepRequest struct {
-	Benches     []string         `json:"benches,omitempty"`
-	Apps        []string         `json:"apps,omitempty"`
-	Chain       bool             `json:"chain,omitempty"`
-	Split       int              `json:"split,omitempty"`
-	Mechs       []string         `json:"mechs"`
-	Snake       *core.Config     `json:"snake,omitempty"` // replaces Mechs when set
-	GPU         *config.GPU      `json:"gpu,omitempty"`
-	Scale       *workloads.Scale `json:"scale,omitempty"`
-	Priority    int              `json:"priority,omitempty"`
-	TimeoutMS   int64            `json:"timeout_ms,omitempty"`
-	Parallelism int              `json:"parallelism,omitempty"`
+	Benches   []string         `json:"benches,omitempty"`
+	Apps      []string         `json:"apps,omitempty"`
+	Chain     bool             `json:"chain,omitempty"`
+	Split     int              `json:"split,omitempty"`
+	Mechs     []string         `json:"mechs"`
+	Snake     *core.Config     `json:"snake,omitempty"` // replaces Mechs when set
+	GPU       *config.GPU      `json:"gpu,omitempty"`
+	Scale     *workloads.Scale `json:"scale,omitempty"`
+	Priority  int              `json:"priority,omitempty"`
+	TimeoutMS int64            `json:"timeout_ms,omitempty"`
 }
 
 // Status is a job's lifecycle state.
@@ -187,25 +180,22 @@ type AppInfo struct {
 	Description string `json:"description"`
 }
 
-// spec is a normalized, validated job specification. parallelism is not
-// part of the content address: it changes wall clock, never results.
-// noForward marks work that arrived from a peer: it must be produced
+// spec is a normalized, validated job specification. noForward marks work that arrived from a peer: it must be produced
 // locally, never forwarded again (loop prevention).
 type spec struct {
-	bench       string
-	app         string // application name; empty for single-kernel jobs
-	appDigest   string // content digest of the assembled app (normalize)
-	chain       bool   // sim.Options.ChainPersistence for app jobs
-	split       int    // tenant-0 SM share for partitioned apps (0: half)
-	mech        string // display name; "snake:custom" for custom configs
-	snake       *core.Config
-	gpu         config.GPU
-	scale       workloads.Scale
-	priority    int
-	timeout     time.Duration
-	parallelism int
-	noForward   bool
-	factory     harness.Factory
+	bench     string
+	app       string // application name; empty for single-kernel jobs
+	appDigest string // content digest of the assembled app (normalize)
+	chain     bool   // sim.Options.ChainPersistence for app jobs
+	split     int    // tenant-0 SM share for partitioned apps (0: half)
+	mech      string // display name; "snake:custom" for custom configs
+	snake     *core.Config
+	gpu       config.GPU
+	scale     workloads.Scale
+	priority  int
+	timeout   time.Duration
+	noForward bool
+	factory   harness.Factory
 }
 
 // workload is the display/metrics label: the benchmark name, or the app name
@@ -219,8 +209,7 @@ func (sp *spec) workload() string {
 
 // wireRequest reconstructs a forwardable RunRequest from the normalized
 // spec. GPU and scale are always sent explicitly so the peer normalizes to
-// the same content address whatever its own defaults are; parallelism is a
-// local-resource knob and is left to the peer's default.
+// the same content address whatever its own defaults are.
 func (sp *spec) wireRequest() RunRequest {
 	gpu, scale := sp.gpu, sp.scale
 	req := RunRequest{

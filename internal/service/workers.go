@@ -192,16 +192,14 @@ func (s *Service) produce(ctx context.Context, j *job) (*stats.Sim, string, erro
 }
 
 // simulate builds the workload and runs the cycle-level simulation under
-// ctx. The run holds parallelism slots of the shared CPU budget for its
-// duration, so the worker pool's concurrency and each run's internal
-// parallelism spend one bounded currency (workers × parallelism can never
-// exceed the budget in CPU terms, whatever the pool size).
+// ctx. The run ticks serially and holds one slot of the shared CPU budget
+// for its duration, so however large the worker pool, concurrent
+// simulations never exceed the budget; a server's parallelism is its jobs.
 func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
-	granted, err := s.budget.Acquire(ctx, sp.parallelism)
-	if err != nil {
+	if _, err := s.budget.Acquire(ctx, 1); err != nil {
 		return nil, err
 	}
-	defer s.budget.Release(granted)
+	defer s.budget.Release(1)
 	// Registry mechanism names tag the pooled engine for prefetcher reuse;
 	// custom snake configs all normalize to mech "snake:custom", which does
 	// not identify one configuration, so they use the untagged path.
@@ -213,7 +211,6 @@ func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
 		Config:        sp.gpu,
 		NewPrefetcher: sp.factory,
 		Context:       ctx,
-		Parallelism:   granted,
 	}
 	if sp.app != "" {
 		// Application job: the interned app was assembled (and validated) at

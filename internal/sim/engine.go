@@ -39,19 +39,6 @@ type Options struct {
 	NewPrefetcher func(smID int) prefetch.Prefetcher
 	// MaxCycles aborts runaway simulations (default 20,000,000).
 	MaxCycles int64
-	// StoreBytes is the store packet size on the interconnect (default 32).
-	StoreBytes int
-	// RequestBytes is the fill-request packet size (default 8).
-	RequestBytes int
-	// MLPPerWarp is the per-warp memory-level-parallelism window: how many
-	// loads a warp may have in flight before it blocks (default 2).
-	MLPPerWarp int
-	// MaxInflightFills caps outstanding fill requests in the memory system
-	// (finite L2/DRAM queueing). When the cap is reached, L1 miss queues
-	// back up and demand accesses suffer reservation fails — the congestion
-	// behaviour §2 attributes to miss-queue pressure. Default:
-	// 128 × L2Partitions (see withDefaults).
-	MaxInflightFills int
 	// Parallelism is how many workers tick work units — SM shards and L2
 	// memory partitions — concurrently within each slack epoch (default 1:
 	// serial). Results are bit-identical for every value — units exchange
@@ -66,10 +53,6 @@ type Options struct {
 	// equivalence tests, which must exercise the real multi-worker barrier
 	// on single-core CI machines.
 	ForceParallelism bool
-	// LatencyAudit, when non-nil, receives the minimum cross-boundary
-	// latencies actually observed during the run — the empirical floor the
-	// slack property test checks the config-derived bound against.
-	LatencyAudit *LatencyAudit
 	// PhaseProfile, when non-nil, accumulates the engine's wall-clock time
 	// per cycle phase (serial route, parallel partitions, parallel shards,
 	// serial merge) into the given accumulator across the run. Profiling
@@ -112,25 +95,34 @@ type Options struct {
 	// length — so only the package tests set it, to prove exactly that. See
 	// DESIGN.md "Bounded-slack ticking".
 	slackWindow int
+	// audit, when non-nil, receives the minimum cross-boundary latencies
+	// actually observed during the run — the empirical floor the slack
+	// property test checks the config-derived bound against. Package tests
+	// only, like slackWindow.
+	audit *latencyAudit
 }
+
+// Fixed memory-model parameters: the interconnect packet sizes of a store
+// and of a fill request, and the per-warp memory-level-parallelism window
+// (how many loads a warp may have in flight before it blocks).
+const (
+	storeBytes   = 32
+	requestBytes = 8
+	mlpPerWarp   = 2
+)
+
+// inflightFillsPerPartition sizes the memory system's cap on outstanding
+// fill requests (finite L2/DRAM queueing): 128 per L2 partition. When the
+// cap is reached, L1 miss queues back up and demand accesses suffer
+// reservation fails — the congestion behaviour §2 attributes to miss-queue
+// pressure.
+const inflightFillsPerPartition = 128
 
 // withDefaults returns opt with zero-valued tunables replaced by their
 // defaults (shared by Engine.run and the white-box tests).
 func (opt Options) withDefaults() Options {
 	if opt.MaxCycles <= 0 {
 		opt.MaxCycles = 20_000_000
-	}
-	if opt.StoreBytes <= 0 {
-		opt.StoreBytes = 32
-	}
-	if opt.RequestBytes <= 0 {
-		opt.RequestBytes = 8
-	}
-	if opt.MaxInflightFills <= 0 {
-		opt.MaxInflightFills = 128 * opt.Config.L2Partitions
-	}
-	if opt.MLPPerWarp <= 0 {
-		opt.MLPPerWarp = 2
 	}
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = 1
@@ -230,16 +222,17 @@ type engine struct {
 	// epochs.
 	ctaOr epochBits
 
-	ageCtr   int64
-	inflight int   // outstanding fill requests in the memory system
-	skipped  int64 // cycles elided by event-driven fast-forwarding
+	ageCtr      int64
+	inflight    int   // outstanding fill requests in the memory system
+	maxInflight int   // cap on inflight: inflightFillsPerPartition × L2Partitions
+	skipped     int64 // cycles elided by event-driven fast-forwarding
 
 	// inflightRel defers in-flight capacity releases: a delivered fill frees
 	// its slot horizon−turnaround cycles after delivery. The pull charges
 	// capacity at stamp+horizon, but the modeled injection happened at
 	// stamp+turnaround; stretching the release by the same difference keeps
 	// each request's occupancy window at its modeled length (injection to
-	// delivery), so the MaxInflightFills cap binds with per-cycle-model
+	// delivery), so the maxInflight cap binds with per-cycle-model
 	// pressure instead of evaporating at wide horizons. Entries are in
 	// ascending release order (deliveries are processed in cycle order).
 	inflightRel []capRelease
@@ -297,10 +290,11 @@ func Run(k *trace.Kernel, opt Options) (*Result, error) {
 func newMachine(opt Options) *engine {
 	cfg := opt.Config
 	e := &engine{
-		cfg:     cfg,
-		opt:     opt,
-		net:     newIcntNet(cfg),
-		shStats: stats.NewShards(cfg.NumSM),
+		cfg:         cfg,
+		opt:         opt,
+		net:         newIcntNet(cfg),
+		shStats:     stats.NewShards(cfg.NumSM),
+		maxInflight: inflightFillsPerPartition * cfg.L2Partitions,
 	}
 	e.memStats = stats.NewMemParts(cfg.L2Partitions)
 	e.parts = make([]*memPartition, cfg.L2Partitions)
@@ -313,7 +307,7 @@ func newMachine(opt Options) *engine {
 		if opt.NewPrefetcher != nil {
 			pf = opt.NewPrefetcher(i)
 		}
-		s := newSM(i, cfg, pf, e.shStats.Shard(i), opt.MLPPerWarp)
+		s := newSM(i, cfg, pf, e.shStats.Shard(i))
 		s.env = &smEnv{eng: e, sm: s}
 		e.shards[i] = newShard(s)
 	}
@@ -652,7 +646,7 @@ func (e *engine) nextInteresting() int64 {
 			}
 		}
 		if sh.hasQueuedReq() {
-			if e.inflight < e.opt.MaxInflightFills {
+			if e.inflight < e.maxInflight {
 				// The queue head pops no earlier than its maturity cycle and
 				// the network's next acceptance.
 				c := e.net.nextReqAccept(cur)
@@ -936,13 +930,13 @@ const missInjectPerSM = 3
 func (e *engine) drainMissQueues(c int64) {
 	for _, sh := range e.shards {
 		for k := 0; k < missInjectPerSM; k++ {
-			if e.inflight >= e.opt.MaxInflightFills {
+			if e.inflight >= e.maxInflight {
 				return
 			}
 			if !sh.peekReq(c, e.horizon) {
 				break
 			}
-			deliverAt, sent := e.net.trySendReq(e.opt.RequestBytes)
+			deliverAt, sent := e.net.trySendReq(requestBytes)
 			if !sent {
 				return
 			}
@@ -975,7 +969,7 @@ func (e *engine) drainMissQueues(c int64) {
 func (e *engine) drainStores(c int64) {
 	n := 0
 	for n < len(e.stores) && e.stores[n].cycle+e.horizon <= c {
-		if _, sent := e.net.trySendReq(e.opt.StoreBytes); !sent {
+		if _, sent := e.net.trySendReq(storeBytes); !sent {
 			break
 		}
 		n++
@@ -1293,7 +1287,7 @@ func (e *engine) result() *Result {
 	res.Stats.DRAMReads += mem.DRAMReads
 	res.Stats.DRAMRowHits += mem.DRAMRowHits
 	res.Stats.DRAMRowMisses += mem.DRAMRowMisses
-	if a := e.opt.LatencyAudit; a != nil {
+	if a := e.opt.audit; a != nil {
 		a.MinReqDelivery = e.minReqLat
 		a.MinRespDelivery = e.minRespLat
 		a.MinL2Response = latencyUnobserved

@@ -176,7 +176,7 @@ func (e *engine) reinitApp(opt Options, reusePf bool) {
 		if !reusePf && opt.NewPrefetcher != nil {
 			pf = opt.NewPrefetcher(i)
 		}
-		sh.sm.reset(pf, opt.MLPPerWarp, reusePf)
+		sh.sm.reset(pf, reusePf)
 		sh.reset()
 	}
 }

@@ -22,13 +22,13 @@ const TurnaroundCap = 8
 // never saw a message.
 const latencyUnobserved = int64(1)<<62 - 1
 
-// LatencyAudit receives, via Options.LatencyAudit, the smallest
+// latencyAudit receives, via the Options.audit test hook, the smallest
 // cross-boundary latencies a run actually exhibited. The slack property test
 // checks the config-derived bound against these empirical floors: the
 // bounded-slack schedule is sound only while no message can cross between
 // the SM side and the memory side in fewer than horizon cycles. Fields are
 // latencyUnobserved when the run carried no such message.
-type LatencyAudit struct {
+type latencyAudit struct {
 	MinReqDelivery  int64 // request-network injection → arrival at L2 side
 	MinRespDelivery int64 // response-network send → fill delivery at the SM
 	MinL2Response   int64 // partition arrival → response data ready

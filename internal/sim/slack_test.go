@@ -57,8 +57,8 @@ func TestSlackHorizonBoundsObservedLatencies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for mech, pf := range slackMechs() {
-				var a LatencyAudit
-				if _, err := Run(k, Options{Config: cfg, NewPrefetcher: pf, slackWindow: int(window), LatencyAudit: &a}); err != nil {
+				var a latencyAudit
+				if _, err := Run(k, Options{Config: cfg, NewPrefetcher: pf, slackWindow: int(window), audit: &a}); err != nil {
 					t.Fatalf("%s/%s: %v", name, mech, err)
 				}
 				if a.MinRespDelivery != latencyUnobserved {

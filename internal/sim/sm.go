@@ -106,7 +106,6 @@ type sm struct {
 	readyAt  []int64
 	env      prefetch.Env
 	kernel   *trace.Kernel // set by the engine before the run
-	mlp      int           // per-warp MLP window (outstanding loads before blocking)
 	observer prefetch.OutcomeObserver
 
 	// nowCycle is the sub-cycle the owning shard's tickSpan is currently
@@ -130,7 +129,7 @@ func outcomeOf(oc cache.PrefetchOutcome) prefetch.Outcome {
 	}
 }
 
-func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp int) *sm {
+func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
 	geom := cfg.Unified
 	geom.SizeBytes = cfg.DataCacheBytes()
 	l1opt := cache.L1Options{
@@ -145,7 +144,6 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 		st:      st,
 		warps:   make([]warpCtx, cfg.MaxWarpsPerSM),
 		readyAt: make([]int64, cfg.MaxWarpsPerSM),
-		mlp:     mlp,
 	}
 	for i := range s.readyAt {
 		s.readyAt[i] = neverReady
@@ -185,7 +183,7 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 // the L1's storage organization is re-derived from the new prefetcher. The
 // per-run statistics accumulator is reset by the engine (stats.Shards.Reset),
 // not here — s.st keeps pointing into it.
-func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
+func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 	clear(s.warps)
 	for i := range s.readyAt {
 		s.readyAt[i] = neverReady
@@ -203,7 +201,6 @@ func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
 	s.nWaitMem = 0
 	s.nBarrier = 0
 	s.kernel = nil
-	s.mlp = mlp
 	s.nowCycle = 0
 	if reusePf {
 		if s.pf != nil {
@@ -431,7 +428,7 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 			// Miss or merged: the load is in flight. The warp keeps issuing
 			// until its MLP window fills, then blocks until a fill drains it.
 			w.outstanding++
-			if w.outstanding >= s.mlp {
+			if w.outstanding >= mlpPerWarp {
 				w.state = wsWaitMem
 				s.readyAt[slot] = neverReady
 				s.nReady--
@@ -554,7 +551,7 @@ func (s *sm) wake(slots []int, cycle int64) {
 		if w.outstanding > 0 {
 			w.outstanding--
 		}
-		if w.state == wsWaitMem && w.outstanding < s.mlp {
+		if w.state == wsWaitMem && w.outstanding < mlpPerWarp {
 			w.state = wsReady
 			s.nWaitMem--
 			s.nReady++
